@@ -54,7 +54,6 @@ from .fileio import (
     dump_json,
     instance_to_json,
     load_instance,
-    load_space,
     operator_to_json,
     parse_instance,
     parse_space,
@@ -85,7 +84,6 @@ from .morphism import (
     compose,
     equivalent,
     identity,
-    is_convergent_morphism,
     respects_covers,
     terminal_cover,
     terminal_morphism,

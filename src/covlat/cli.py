@@ -24,16 +24,14 @@ from .errors import (
 )
 from .fileio import Workspace, dump_json, load_instance, operator_to_json
 from .morphism import (
-    MorphismClass,
     Relation,
     ValidatedMorphism,
     canonical_form,
     compose,
-    equivalent,
     respects_covers,
 )
 from .oracle import EnumerationBudget, default_certificates
-from .verdict import Verdict, _jsonify
+from .verdict import _jsonify
 
 
 def _say(msg: str) -> None:
@@ -88,7 +86,7 @@ def cmd_frame(args) -> int:
         "file": args.instance,
         "saturated": [s.sorted_members() for s in frame.sets],
         "hasse": [[lo.sorted_members(), hi.sorted_members()] for lo, hi in edges],
-        "convergent": frame.convergent.to_json() if frame.convergent else None,
+        "convergent": frame.convergent.to_json() if frame.convergent is not None else None,
     }
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -145,14 +143,13 @@ def cmd_morphism(args) -> int:
 
 def cmd_operator(args) -> int:
     ws = Workspace()
-    kind = args.kind
 
     def load_op(path):
-        return ws.operator_file(path, kind)
+        return ws.operator_file(path, args.kind)
 
     if args.action == "verify":
         table = load_op(args.files[0])
-        if isinstance(table, it.InteriorTable):
+        if table.kind == "interior":
             verdict = it.verify_interior_axioms(table)
         else:
             verdict = cl.verify_closure_axioms(table)
@@ -162,9 +159,9 @@ def cmd_operator(args) -> int:
 
     if args.action in ("join", "meet"):
         t1, t2 = load_op(args.files[0]), load_op(args.files[1])
-        if type(t1) is not type(t2):
+        if t1.kind != t2.kind:
             raise InputError("cannot combine closure and interior tables")
-        if isinstance(t1, it.InteriorTable):
+        if t1.kind == "interior":
             out = (it.join_interiors if args.action == "join" else it.meet_interiors)([t1, t2])
         else:
             out = (cl.join_closures if args.action == "join" else cl.meet_closures)([t1, t2])
@@ -175,7 +172,7 @@ def cmd_operator(args) -> int:
         relation, src, tgt = _load_morphism(ws, args.files[0])
         m = ValidatedMorphism.build(relation, src, tgt)
         table = load_op(args.files[1])
-        if isinstance(table, it.InteriorTable):
+        if table.kind == "interior":
             if args.initial_mode == "paper":
                 candidate, verdict = it.initial_interior_paper(m, table)
                 report = {
@@ -198,11 +195,11 @@ def cmd_operator(args) -> int:
     if args.action in ("reflect", "coreflect"):
         table = load_op(args.files[0])
         if args.action == "reflect":
-            if not isinstance(table, cl.ClosureTable):
+            if table.kind != "closure":
                 raise InputError("reflect expects a closure table")
             out = cl.reflection(table)
         else:
-            if not isinstance(table, it.InteriorTable):
+            if table.kind != "interior":
                 raise InputError("coreflect expects an interior table")
             out = it.coreflection(table)
         _emit(operator_to_json(out, cover_ref="<derived>"))
@@ -213,7 +210,7 @@ def cmd_operator(args) -> int:
         m = ValidatedMorphism.build(relation, src, tgt)
         t_src = load_op(args.files[1])
         t_tgt = load_op(args.files[2])
-        if isinstance(t_src, it.InteriorTable):
+        if t_src.kind == "interior":
             verdict = it.is_i_continuous(m, t_src, t_tgt)
         else:
             verdict = cl.is_c_continuous(m, t_src, t_tgt)
@@ -225,6 +222,8 @@ def cmd_operator(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    if args.samples < 1:
+        raise InputError(f"--samples must be at least 1, got {args.samples}")
     budget = EnumerationBudget(
         max_cover_size=args.max_cover_size,
         samples=args.samples,
@@ -232,10 +231,9 @@ def cmd_certify(args) -> int:
     )
     certs = default_certificates(budget)
     _emit([c.to_json() for c in certs])
-    failed = [c for c in certs if not c.passed]
     for c in certs:
         _say(f"{'PASS' if c.passed else 'FAIL'} {c.claim_id} ({c.instances} instances)")
-    return 0 if not failed else 1
+    return 0 if all(c.passed for c in certs) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,99 +1,43 @@
 """Closure-operator tables on subobject lattices.
 
-An operator is an explicit, total table from carriers to carriers: the
-whole lattice of operators is then enumerable and every claimed law is
-falsifiable.  The table axioms are extension, monotonicity and fixing
-the bottom; idempotence is not required (and is verified only where
-claimed, i.e. for the reflection).
+The table structure, its lattice operations and the axiom scan are shared
+with interior tables in :mod:`covlat.table`; this module holds what is
+particular to closures.  The table axioms are extension, monotonicity and
+fixing the bottom; idempotence is not required (and is verified only
+where claimed, i.e. for the reflection).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .cover import Cover
 from .errors import (
-    ContinuityPreconditionError,
     ExtensionFailureError,
     InitialContinuityDefectError,
     MixedParentError,
-    PartialTableError,
 )
 from .morphism import ValidatedMorphism
-from .sets import Subset, submasks
+from .sets import Subset
+from .table import (
+    ClosureTable,
+    check_morphism_tables,
+    compare,
+    fixed_carriers,
+    fixed_preimages,
+    is_fixed,
+    leq,
+    pointwise,
+    pull_back,
+    reflect,
+    scan_axioms,
+)
 from .verdict import Verdict
 
 
-class ClosureTable:
-    """A total map carrier -> carrier on the subobject lattice of a cover."""
-
-    __slots__ = ("parent", "table")
-
-    def __init__(self, parent: Cover, table: Iterable[int]):
-        entries = tuple(table)
-        if len(entries) != 1 << len(parent.base):
-            raise PartialTableError(
-                f"table has {len(entries)} entries, expected {1 << len(parent.base)}"
-            )
-        self.parent = parent
-        self.table = entries
-
-    @classmethod
-    def from_mapping(cls, parent: Cover, mapping: Mapping[int, int]) -> "ClosureTable":
-        size = 1 << len(parent.base)
-        if set(mapping) != set(range(size)):
-            raise PartialTableError("operator table must map every carrier exactly once")
-        return cls(parent, (mapping[m] for m in range(size)))
-
-    def apply_mask(self, mask: int) -> int:
-        return self.table[mask]
-
-    def apply(self, t: Subset) -> Subset:
-        return self.parent.base.subset_from_mask(self.table[t.mask])
-
-    def __call__(self, t: Subset) -> Subset:
-        return self.apply(t)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ClosureTable)
-            and self.parent.base == other.parent.base
-            and self.table == other.table
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.parent.base, self.table))
-
-    def __repr__(self) -> str:
-        return f"ClosureTable({list(self.table)!r})"
-
-
 def verify_closure_axioms(candidate: ClosureTable) -> Verdict:
-    base = candidate.parent.base
-    table = candidate.table
-    checked = 0
-    for mask, out in enumerate(table):
-        checked += 1
-        if mask & ~out:
-            return Verdict.fail(
-                {"axiom": "C1", "carrier": base.subset_from_mask(mask)}, checked
-            )
-    for larger, out_larger in enumerate(table):
-        for smaller in submasks(larger):
-            checked += 1
-            if table[smaller] & ~out_larger:
-                return Verdict.fail(
-                    {
-                        "axiom": "C2",
-                        "smaller": base.subset_from_mask(smaller),
-                        "larger": base.subset_from_mask(larger),
-                    },
-                    checked,
-                )
-    checked += 1
-    if table[0] != 0:
-        return Verdict.fail({"axiom": "C3", "carrier": base.empty()}, checked)
-    return Verdict.ok(checked)
+    """Extension (C1), monotonicity (C2) and fixing the bottom (C3)."""
+    return scan_axioms(candidate, "C", extensive=True, fixed=0)
 
 
 def discrete_closure(parent: Cover) -> ClosureTable:
@@ -107,53 +51,16 @@ def trivial_closure(parent: Cover) -> ClosureTable:
     return ClosureTable(parent, (full if m else 0 for m in range(size)))
 
 
-def _common_parent(tables: list[ClosureTable | "object"]):
-    if not tables:
-        raise ValueError("empty operator family")
-    parent = tables[0].parent
-    for t in tables[1:]:
-        if not parent.same_cover(t.parent):
-            raise MixedParentError("operator tables have different parent covers")
-    return parent
-
-
 def join_closures(family: Iterable[ClosureTable]) -> ClosureTable:
-    tables = list(family)
-    parent = _common_parent(tables)
-    size = 1 << len(parent.base)
-    out = [0] * size
-    for t in tables:
-        for m in range(size):
-            out[m] |= t.table[m]
-    return ClosureTable(parent, out)
+    return pointwise(ClosureTable, family, meet=False)
 
 
 def meet_closures(family: Iterable[ClosureTable]) -> ClosureTable:
-    tables = list(family)
-    parent = _common_parent(tables)
-    size = 1 << len(parent.base)
-    out = [size - 1] * size
-    for t in tables:
-        for m in range(size):
-            out[m] &= t.table[m]
-    return ClosureTable(parent, out)
-
-def leq_closures(c: ClosureTable, d: ClosureTable) -> bool:
-    _common_parent([c, d])
-    return all(cm & ~dm == 0 for cm, dm in zip(c.table, d.table))
+    return pointwise(ClosureTable, family, meet=True)
 
 
-def compare_closures(c: ClosureTable, d: ClosureTable) -> Verdict:
-    """Pointwise-order certificate with a witness carrier on failure."""
-    _common_parent([c, d])
-    checked = 0
-    for m, (cm, dm) in enumerate(zip(c.table, d.table)):
-        checked += 1
-        if cm & ~dm:
-            return Verdict.fail(
-                {"carrier": c.parent.base.subset_from_mask(m)}, checked
-            )
-    return Verdict.ok(checked)
+leq_closures = leq
+compare_closures = compare
 
 
 # -- continuity --------------------------------------------------------------
@@ -164,7 +71,7 @@ def is_c_continuous(
 ) -> Verdict:
     """Image continuity: the image of a closure is inside the closure of
     the image, for every source subobject."""
-    _check_tables(m, c_src, c_tgt)
+    check_morphism_tables(m, c_src, c_tgt)
     rel = m.relation
     checked = 0
     for t in range(1 << len(rel.source)):
@@ -182,7 +89,7 @@ def check_preimage_continuity(
     m: ValidatedMorphism, c_src: ClosureTable, c_tgt: ClosureTable
 ) -> Verdict:
     """Preimage form of continuity, quantified over target subobjects."""
-    _check_tables(m, c_src, c_tgt)
+    check_morphism_tables(m, c_src, c_tgt)
     rel = m.relation
     checked = 0
     for u in range(1 << len(rel.target)):
@@ -194,13 +101,6 @@ def check_preimage_continuity(
                 {"carrier": rel.target.subset_from_mask(u)}, checked
             )
     return Verdict.ok(checked)
-
-
-def _check_tables(m: ValidatedMorphism, c_src, c_tgt) -> None:
-    if not c_src.parent.same_cover(m.source_cover):
-        raise MixedParentError("source table does not live on the morphism's source")
-    if not c_tgt.parent.same_cover(m.target_cover):
-        raise MixedParentError("target table does not live on the morphism's target")
 
 
 # -- initial closure ---------------------------------------------------------
@@ -223,11 +123,7 @@ def initial_closure(m: ValidatedMorphism, c_tgt: ClosureTable) -> ClosureTable:
     for t in range(size):
         if t & ~rel.preimage_minus_mask(rel.direct_image_mask(t)):
             raise ExtensionFailureError(rel.source.subset_from_mask(t))
-    table = [
-        rel.preimage_minus_mask(c_tgt.table[rel.direct_image_mask(t)])
-        for t in range(size)
-    ]
-    result = ClosureTable(m.source_cover, table)
+    result = ClosureTable(m.source_cover, pull_back(m, c_tgt, rel.direct_image_mask))
     axioms = verify_closure_axioms(result)
     if not axioms.passed:
         witness = axioms.witness.get("carrier", axioms.witness.get("smaller"))
@@ -241,21 +137,14 @@ def initial_closure(m: ValidatedMorphism, c_tgt: ClosureTable) -> ClosureTable:
 # -- closed and dense subobjects ---------------------------------------------
 
 
-def is_closed(c: ClosureTable, t: Subset) -> bool:
-    return c.table[t.mask] == t.mask
+is_closed = is_fixed
 
 
 def is_dense(c: ClosureTable, t: Subset) -> bool:
     return c.table[t.mask] == (1 << len(c.parent.base)) - 1
 
 
-def closed_subobjects(c: ClosureTable) -> list[Subset]:
-    base = c.parent.base
-    return [
-        base.subset_from_mask(m)
-        for m, out in enumerate(c.table)
-        if out == m
-    ]
+closed_subobjects = fixed_carriers
 
 
 def preservation_checks(
@@ -265,22 +154,11 @@ def preservation_checks(
     forward to dense ones when the image of the source top is the target
     top (carrier surjectivity)."""
     cont = is_c_continuous(m, c_src, c_tgt)
-    if not cont.passed:
-        raise ContinuityPreconditionError(
-            f"morphism is not continuous for these tables: {cont.witness}"
-        )
+    closed = fixed_preimages(m, cont, c_src, c_tgt, law="closed-preimage")
+    if not closed.passed:
+        return closed
     rel = m.relation
-    checked = 0
-    for v in range(1 << len(rel.target)):
-        if c_tgt.table[v] != v:
-            continue
-        checked += 1
-        pre = rel.preimage_minus_mask(v)
-        if c_src.table[pre] != pre:
-            return Verdict.fail(
-                {"law": "closed-preimage", "carrier": rel.target.subset_from_mask(v)},
-                checked,
-            )
+    checked = closed.checked
     full_src = (1 << len(rel.source)) - 1
     full_tgt = (1 << len(rel.target)) - 1
     if rel.direct_image_mask(full_src) == full_tgt:
@@ -302,13 +180,4 @@ def preservation_checks(
 def reflection(c: ClosureTable) -> ClosureTable:
     """Send each carrier to the intersection of the closed carriers above
     it; the left Galois adjoint of including the closed subobjects."""
-    size = 1 << len(c.parent.base)
-    closed = [m for m in range(size) if c.table[m] == m]
-    table = []
-    for t in range(size):
-        acc = size - 1
-        for v in closed:
-            if t & ~v == 0:
-                acc &= v
-        table.append(acc)
-    return ClosureTable(c.parent, table)
+    return reflect(c)

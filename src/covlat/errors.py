@@ -32,7 +32,9 @@ class MorphismValidationError(CovlatError):
 
 
 class CompositionDefectError(CovlatError):
-    """Composite of two validated morphisms failed re-verification.
+    """A construction that holds by proof failed its re-verification: the
+    composite of two validated morphisms, or the corrected initial
+    interior table.
 
     This indicates a library defect, not bad input; it is raised rather
     than silently swallowed so it can be reported.

@@ -23,11 +23,10 @@ from __future__ import annotations
 import json
 import os
 
-from .closure import ClosureTable
 from .cover import ConcreteSpace, Cover, cover_from_table
 from .errors import InputError
-from .interior import InteriorTable
 from .sets import BaseSet
+from .table import ClosureTable, InteriorTable
 
 
 def _load_json(path: str):
@@ -49,6 +48,20 @@ def _expect(data, key, kind, where):
     return value
 
 
+def _mask_table(data, base: BaseSet, where: str, shape: str) -> dict[int, int]:
+    """The ``table`` field as a map from subset masks to subset masks."""
+    table = {}
+    for row in _expect(data, "table", list, where):
+        if not (isinstance(row, list) and len(row) == 2):
+            raise InputError(f"{where}: table rows must be {shape} pairs")
+        try:
+            key = base.subset(row[0]).mask
+            table[key] = base.subset(row[1]).mask
+        except Exception as exc:
+            raise InputError(f"{where}: {exc}") from exc
+    return table
+
+
 def parse_instance(data, where="instance") -> Cover:
     base_names = _expect(data, "base", list, where)
     try:
@@ -56,16 +69,7 @@ def parse_instance(data, where="instance") -> Cover:
     except ValueError as exc:
         raise InputError(f"{where}: {exc}") from exc
     if "table" in data:
-        rows = _expect(data, "table", list, where)
-        table = {}
-        for row in rows:
-            if not (isinstance(row, list) and len(row) == 2):
-                raise InputError(f"{where}: table rows must be [subset, cover-set] pairs")
-            try:
-                key = base.subset(row[0]).mask
-                table[key] = base.subset(row[1]).mask
-            except Exception as exc:
-                raise InputError(f"{where}: {exc}") from exc
+        table = _mask_table(data, base, where, "[subset, cover-set]")
         try:
             return cover_from_table(base, table)
         except InputError as exc:
@@ -118,10 +122,6 @@ def space_to_json(space: ConcreteSpace) -> dict:
     }
 
 
-def load_space(path: str) -> ConcreteSpace:
-    return parse_space(_load_json(path), where=path)
-
-
 class Workspace:
     """Loads and caches instances so that morphism and operator files can
     reference them by path with referential integrity."""
@@ -162,41 +162,23 @@ class Workspace:
         file_kind = data.get("kind", kind or "closure")
         if kind is not None and file_kind != kind:
             raise InputError(f"{path}: operator kind {file_kind!r} does not match requested {kind!r}")
-        rows = _expect(data, "table", list, path)
-        mapping = {}
-        for row in rows:
-            if not (isinstance(row, list) and len(row) == 2):
-                raise InputError(f"{path}: table rows must be [carrier, image] pairs")
-            try:
-                mapping[cover.base.subset(row[0]).mask] = cover.base.subset(row[1]).mask
-            except Exception as exc:
-                raise InputError(f"{path}: {exc}") from exc
+        mapping = _mask_table(data, cover.base, path, "[carrier, image]")
+        if file_kind not in ("closure", "interior"):
+            raise InputError(f"{path}: unknown operator kind {file_kind!r}")
+        cls = ClosureTable if file_kind == "closure" else InteriorTable
         try:
-            if file_kind == "interior":
-                return InteriorTable.from_mapping(cover, mapping)
-            if file_kind == "closure":
-                return ClosureTable.from_mapping(cover, mapping)
+            return cls.from_mapping(cover, mapping)
         except Exception as exc:
             raise InputError(f"{path}: {exc}") from exc
-        raise InputError(f"{path}: unknown operator kind {file_kind!r}")
-
-
-def morphism_to_json(pairs, source_ref: str, target_ref: str) -> dict:
-    return {
-        "source": source_ref,
-        "target": target_ref,
-        "pairs": sorted([s, t] for s, t in pairs),
-    }
 
 
 def operator_to_json(table, cover_ref: str) -> dict:
-    kind = "interior" if isinstance(table, InteriorTable) else "closure"
     base = table.parent.base
     rows = [
         [base.subset_from_mask(m).sorted_members(), base.subset_from_mask(out).sorted_members()]
         for m, out in enumerate(table.table)
     ]
-    return {"cover": cover_ref, "kind": kind, "table": rows}
+    return {"cover": cover_ref, "kind": table.kind, "table": rows}
 
 
 def dump_json(data, path: str | None = None) -> str:

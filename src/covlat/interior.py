@@ -1,7 +1,8 @@
 """Interior-operator tables on subobject lattices.
 
-Mirrors :mod:`covlat.closure` with the dual axioms: contraction,
-monotonicity and fixing the top.  Two pullback constructions are
+The dual of :mod:`covlat.closure`, on the table structure shared in
+:mod:`covlat.table`, with the axioms contraction, monotonicity and fixing
+the top.  Two pullback constructions are
 shipped: the literal image/interior/preimage composite, whose
 contraction axiom can fail for genuinely relational morphisms (the
 failure is returned as data, not raised), and a corrected composite
@@ -11,91 +12,34 @@ that replaces the inner direct image by the co-restriction
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .cover import Cover
 from .errors import (
-    ContinuityPreconditionError,
+    CompositionDefectError,
     MixedParentError,
-    PartialTableError,
     UpperBoundFailureError,
 )
 from .morphism import ValidatedMorphism
-from .sets import Subset, submasks
+from .table import (
+    InteriorTable,
+    check_morphism_tables,
+    conjugate,
+    fixed_carriers,
+    fixed_preimages,
+    is_fixed,
+    leq,
+    pointwise,
+    pull_back,
+    reflect,
+    scan_axioms,
+)
 from .verdict import Verdict
 
 
-class InteriorTable:
-    """A total map carrier -> carrier on the subobject lattice of a cover."""
-
-    __slots__ = ("parent", "table")
-
-    def __init__(self, parent: Cover, table: Iterable[int]):
-        entries = tuple(table)
-        if len(entries) != 1 << len(parent.base):
-            raise PartialTableError(
-                f"table has {len(entries)} entries, expected {1 << len(parent.base)}"
-            )
-        self.parent = parent
-        self.table = entries
-
-    @classmethod
-    def from_mapping(cls, parent: Cover, mapping: Mapping[int, int]) -> "InteriorTable":
-        size = 1 << len(parent.base)
-        if set(mapping) != set(range(size)):
-            raise PartialTableError("operator table must map every carrier exactly once")
-        return cls(parent, (mapping[m] for m in range(size)))
-
-    def apply_mask(self, mask: int) -> int:
-        return self.table[mask]
-
-    def apply(self, t: Subset) -> Subset:
-        return self.parent.base.subset_from_mask(self.table[t.mask])
-
-    def __call__(self, t: Subset) -> Subset:
-        return self.apply(t)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, InteriorTable)
-            and self.parent.base == other.parent.base
-            and self.table == other.table
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.parent.base, self.table))
-
-    def __repr__(self) -> str:
-        return f"InteriorTable({list(self.table)!r})"
-
-
 def verify_interior_axioms(candidate: InteriorTable) -> Verdict:
-    base = candidate.parent.base
-    table = candidate.table
-    checked = 0
-    for mask, out in enumerate(table):
-        checked += 1
-        if out & ~mask:
-            return Verdict.fail(
-                {"axiom": "I1", "carrier": base.subset_from_mask(mask)}, checked
-            )
-    for larger in range(len(table)):
-        for smaller in submasks(larger):
-            checked += 1
-            if table[smaller] & ~table[larger]:
-                return Verdict.fail(
-                    {
-                        "axiom": "I2",
-                        "smaller": base.subset_from_mask(smaller),
-                        "larger": base.subset_from_mask(larger),
-                    },
-                    checked,
-                )
-    checked += 1
-    full = len(table) - 1
-    if table[full] != full:
-        return Verdict.fail({"axiom": "I3", "carrier": base.full()}, checked)
-    return Verdict.ok(checked)
+    """Contraction (I1), monotonicity (I2) and fixing the top (I3)."""
+    return scan_axioms(candidate, "I", extensive=False, fixed=len(candidate.table) - 1)
 
 
 def discrete_interior(parent: Cover) -> InteriorTable:
@@ -109,41 +53,15 @@ def trivial_interior(parent: Cover) -> InteriorTable:
     return InteriorTable(parent, (full if m == full else 0 for m in range(size)))
 
 
-def _common_parent(tables):
-    if not tables:
-        raise ValueError("empty operator family")
-    parent = tables[0].parent
-    for t in tables[1:]:
-        if not parent.same_cover(t.parent):
-            raise MixedParentError("operator tables have different parent covers")
-    return parent
-
-
 def join_interiors(family: Iterable[InteriorTable]) -> InteriorTable:
-    tables = list(family)
-    parent = _common_parent(tables)
-    size = 1 << len(parent.base)
-    out = [0] * size
-    for t in tables:
-        for m in range(size):
-            out[m] |= t.table[m]
-    return InteriorTable(parent, out)
+    return pointwise(InteriorTable, family, meet=False)
 
 
 def meet_interiors(family: Iterable[InteriorTable]) -> InteriorTable:
-    tables = list(family)
-    parent = _common_parent(tables)
-    size = 1 << len(parent.base)
-    out = [size - 1] * size
-    for t in tables:
-        for m in range(size):
-            out[m] &= t.table[m]
-    return InteriorTable(parent, out)
+    return pointwise(InteriorTable, family, meet=True)
 
 
-def leq_interiors(i: InteriorTable, j: InteriorTable) -> bool:
-    _common_parent([i, j])
-    return all(im & ~jm == 0 for im, jm in zip(i.table, j.table))
+leq_interiors = leq
 
 
 # -- continuity --------------------------------------------------------------
@@ -154,7 +72,7 @@ def is_i_continuous(
 ) -> Verdict:
     """Preimage of a target interior is inside the interior of the
     preimage, for every target subobject."""
-    _check_tables(m, i_src, i_tgt)
+    check_morphism_tables(m, i_src, i_tgt)
     rel = m.relation
     checked = 0
     for t in range(1 << len(rel.target)):
@@ -166,13 +84,6 @@ def is_i_continuous(
                 {"carrier": rel.target.subset_from_mask(t)}, checked
             )
     return Verdict.ok(checked)
-
-
-def _check_tables(m: ValidatedMorphism, i_src, i_tgt) -> None:
-    if not i_src.parent.same_cover(m.source_cover):
-        raise MixedParentError("source table does not live on the morphism's source")
-    if not i_tgt.parent.same_cover(m.target_cover):
-        raise MixedParentError("target table does not live on the morphism's target")
 
 
 # -- initial interior --------------------------------------------------------
@@ -188,11 +99,7 @@ def initial_interior_paper(
     """
     if not i_tgt.parent.same_cover(m.target_cover):
         raise MixedParentError("table does not live on the morphism's target")
-    rel = m.relation
-    table = [
-        rel.preimage_minus_mask(i_tgt.table[rel.direct_image_mask(t)])
-        for t in range(1 << len(rel.source))
-    ]
+    table = pull_back(m, i_tgt, m.relation.direct_image_mask)
     candidate = InteriorTable(m.source_cover, table)
     return candidate, verify_interior_axioms(candidate)
 
@@ -223,55 +130,33 @@ def initial_interior_corrected(
     pre_top = rel.preimage_minus_mask((1 << len(rel.target)) - 1)
     if pre_top != full_src:
         raise UpperBoundFailureError(rel.source.subset_from_mask(pre_top))
-    table = [
-        rel.preimage_minus_mask(i_tgt.table[corestriction_mask(m, t)])
-        for t in range(1 << len(rel.source))
-    ]
+    table = pull_back(m, i_tgt, lambda t: corestriction_mask(m, t))
     result = InteriorTable(m.source_cover, table)
     axioms = verify_interior_axioms(result)
-    assert axioms.passed, axioms.witness
+    if not axioms.passed:
+        raise CompositionDefectError(
+            f"corrected initial interior fails its axioms: {axioms.witness}"
+        )
     cont = is_i_continuous(m, result, i_tgt)
-    assert cont.passed, cont.witness
+    if not cont.passed:
+        raise CompositionDefectError(
+            f"corrected initial interior is not continuous: {cont.witness}"
+        )
     return result
 
 
 # -- open subobjects ---------------------------------------------------------
 
 
-def is_open(i: InteriorTable, t: Subset) -> bool:
-    return i.table[t.mask] == t.mask
-
-
-def open_subobjects(i: InteriorTable) -> list[Subset]:
-    base = i.parent.base
-    return [
-        base.subset_from_mask(m)
-        for m, out in enumerate(i.table)
-        if out == m
-    ]
+is_open = is_fixed
+open_subobjects = fixed_carriers
 
 
 def open_preimage_check(
     m: ValidatedMorphism, i_src: InteriorTable, i_tgt: InteriorTable
 ) -> Verdict:
     """Preimages of open subobjects must be open."""
-    cont = is_i_continuous(m, i_src, i_tgt)
-    if not cont.passed:
-        raise ContinuityPreconditionError(
-            f"morphism is not continuous for these tables: {cont.witness}"
-        )
-    rel = m.relation
-    checked = 0
-    for v in range(1 << len(rel.target)):
-        if i_tgt.table[v] != v:
-            continue
-        checked += 1
-        pre = rel.preimage_minus_mask(v)
-        if i_src.table[pre] != pre:
-            return Verdict.fail(
-                {"carrier": rel.target.subset_from_mask(v)}, checked
-            )
-    return Verdict.ok(checked)
+    return fixed_preimages(m, is_i_continuous(m, i_src, i_tgt), i_src, i_tgt)
 
 
 # -- coreflection onto open subobjects ---------------------------------------
@@ -279,14 +164,9 @@ def open_preimage_check(
 
 def coreflection(i: InteriorTable) -> InteriorTable:
     """Send each carrier to the union of the open carriers inside it; the
-    right Galois adjoint of including the open subobjects."""
-    size = 1 << len(i.parent.base)
-    opens = [m for m in range(size) if i.table[m] == m]
-    table = []
-    for t in range(size):
-        acc = 0
-        for v in opens:
-            if v & ~t == 0:
-                acc |= v
-        table.append(acc)
-    return InteriorTable(i.parent, table)
+    right Galois adjoint of including the open subobjects.
+
+    Complement turns the open carriers into the closed carriers of the
+    conjugate closure table, so this is the conjugate of its reflection.
+    """
+    return conjugate(reflect(conjugate(i)))

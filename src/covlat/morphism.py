@@ -193,10 +193,6 @@ class ValidatedMorphism:
         return f"ValidatedMorphism({sorted(self.relation.pairs)!r})"
 
 
-def is_convergent_morphism(m: ValidatedMorphism) -> Verdict:
-    return m.convergent
-
-
 class MorphismClass:
     """Canonical representative of a morphism: the saturated preimage of
     each target element.  Two morphisms are equal as arrows iff their

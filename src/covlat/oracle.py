@@ -45,7 +45,7 @@ from .morphism import (
     respects_covers,
 )
 from .sets import BaseSet, Subset
-from .verdict import Verdict
+from .verdict import Verdict, _jsonify
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,6 @@ class EnumerationBudget:
     """Bounds and seed for certification runs; deterministic given the seed."""
 
     max_cover_size: int = 3
-    max_operator_size: int = 2
     samples: int = 30
     seed: int = 0
 
@@ -63,7 +62,6 @@ class EnumerationBudget:
     def to_json(self) -> dict:
         return {
             "max_cover_size": self.max_cover_size,
-            "max_operator_size": self.max_operator_size,
             "samples": self.samples,
             "seed": self.seed,
         }
@@ -79,8 +77,6 @@ class Certificate:
     runtime_s: float = field(default=0.0)
 
     def to_json(self) -> dict:
-        from .verdict import _jsonify
-
         return {
             "claim": self.claim_id,
             "bounds": _jsonify(self.bounds),
@@ -92,8 +88,11 @@ class Certificate:
 
 
 def _timed(claim_id, bounds, fn):
+    """Run a certificate body; a claim checked on no instance does not pass."""
     start = time.perf_counter()
     passed, witness, instances = fn()
+    if passed and instances == 0:
+        passed, witness = False, {"claim": "no instances checked"}
     return Certificate(claim_id, bounds, passed, witness, instances, time.perf_counter() - start)
 
 
@@ -162,17 +161,11 @@ def random_closure_table(rng: random.Random, parent: Cover) -> ClosureTable:
     raw = [0] * size
     for m in range(1, size):
         raw[m] = m | rng.randrange(size)
-    table = [0] * size
-    for m in range(size):
-        acc = raw[m]
-        sub = m
-        while sub:
-            sub = (sub - 1) & m
-            acc |= raw[sub]
-            if sub == 0:
-                break
-        table[m] = acc
-    return ClosureTable(parent, table)
+    for bit in range(len(parent.base)):
+        for m in range(size):
+            if m >> bit & 1:
+                raw[m] |= raw[m ^ 1 << bit]
+    return ClosureTable(parent, raw)
 
 
 def random_interior_table(rng: random.Random, parent: Cover) -> InteriorTable:
@@ -182,39 +175,46 @@ def random_interior_table(rng: random.Random, parent: Cover) -> InteriorTable:
     for m in range(size):
         raw[m] = m & rng.randrange(size)
     raw[full] = full
-    table = [0] * size
-    for m in range(size):
-        acc = raw[m]
-        # intersect over all super-carriers to force monotonicity
-        sup = m
-        while True:
-            acc &= raw[sup]
-            if sup == full:
-                break
-            sup = (sup + 1) | m
-        table[m] = acc
-    return InteriorTable(parent, table)
+    # intersect over all super-carriers to force monotonicity
+    for bit in range(len(parent.base)):
+        for m in range(size):
+            if not m >> bit & 1:
+                raw[m] &= raw[m | 1 << bit]
+    return InteriorTable(parent, raw)
+
+
+def _valid_tables(what: str, cls: type, verify, parent: Cover):
+    n = len(parent.base)
+    require_cap(what, n, "double")
+    size = 1 << n
+    for outputs in itertools.product(range(size), repeat=size):
+        candidate = cls(parent, outputs)
+        if verify(candidate).passed:
+            yield candidate
 
 
 def enumerate_closure_tables(parent: Cover):
     """All valid closure tables; feasible only for tiny bases."""
-    n = len(parent.base)
-    require_cap("enumerate_closure_tables", n, "double")
-    size = 1 << n
-    for outputs in itertools.product(range(size), repeat=size):
-        candidate = ClosureTable(parent, outputs)
-        if verify_closure_axioms(candidate).passed:
-            yield candidate
+    return _valid_tables("enumerate_closure_tables", ClosureTable, verify_closure_axioms, parent)
 
 
 def enumerate_interior_tables(parent: Cover):
-    n = len(parent.base)
-    require_cap("enumerate_interior_tables", n, "double")
-    size = 1 << n
-    for outputs in itertools.product(range(size), repeat=size):
-        candidate = InteriorTable(parent, outputs)
-        if verify_interior_axioms(candidate).passed:
-            yield candidate
+    return _valid_tables("enumerate_interior_tables", InteriorTable, verify_interior_axioms, parent)
+
+
+def coreflection_direct(i: InteriorTable) -> InteriorTable:
+    """Union of the open carriers inside each carrier, computed directly;
+    the reference for the conjugated reflection."""
+    size = 1 << len(i.parent.base)
+    opens = [m for m in range(size) if i.table[m] == m]
+    table = []
+    for t in range(size):
+        acc = 0
+        for v in opens:
+            if v & ~t == 0:
+                acc |= v
+        table.append(acc)
+    return InteriorTable(i.parent, table)
 
 
 def all_relations(source: BaseSet, target: BaseSet):
@@ -252,18 +252,6 @@ def respects_covers_full(r: Relation, c1: Cover, c2: Cover) -> Verdict:
                     checked,
                 )
     return Verdict.ok(checked)
-
-
-def equivalent_full(r1: Relation, r2: Relation, c1: Cover) -> bool:
-    """Morphism equivalence quantified over all target subsets."""
-    n2 = len(r1.target)
-    require_cap("equivalent_full", n2, "single")
-    for w in range(1 << n2):
-        if c1.saturate_mask(r1.preimage_minus_mask(w)) != c1.saturate_mask(
-            r2.preimage_minus_mask(w)
-        ):
-            return False
-    return True
 
 
 def convergent_morphism_full(r: Relation, c1: Cover, c2: Cover) -> Verdict:

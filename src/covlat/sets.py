@@ -53,7 +53,7 @@ class BaseSet:
     def index(self, name: str) -> int:
         try:
             return self._index[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name, e.g. a list
             raise BaseMismatchError(f"element {name!r} is not in this base") from None
 
     def __eq__(self, other) -> bool:

@@ -1,0 +1,230 @@
+"""Operator tables on subobject lattices, shared by closure and interior.
+
+A table is an explicit, total map from carriers to carriers, so the whole
+lattice of operators is enumerable and every claimed law is falsifiable.
+The two kinds are one structure seen through complement (:func:`conjugate`).
+The axiom scan is not conjugated: complement reverses mask order, so it
+would report a different least witness.
+"""
+
+from __future__ import annotations
+
+import operator
+from typing import Iterable, Mapping
+
+from .cover import Cover
+from .errors import ContinuityPreconditionError, MixedParentError, PartialTableError
+from .morphism import ValidatedMorphism
+from .sets import Subset, submasks
+from .verdict import Verdict
+
+
+class OperatorTable:
+    """A total map carrier -> carrier on the subobject lattice of a cover."""
+
+    __slots__ = ("parent", "table")
+    kind: str
+
+    def __init__(self, parent: Cover, table: Iterable[int]):
+        entries = tuple(table)
+        if len(entries) != 1 << len(parent.base):
+            raise PartialTableError(
+                f"table has {len(entries)} entries, expected {1 << len(parent.base)}"
+            )
+        self.parent = parent
+        self.table = entries
+
+    @classmethod
+    def from_mapping(cls, parent: Cover, mapping: Mapping[int, int]):
+        size = 1 << len(parent.base)
+        if set(mapping) != set(range(size)):
+            raise PartialTableError("operator table must map every carrier exactly once")
+        return cls(parent, (mapping[m] for m in range(size)))
+
+    def apply_mask(self, mask: int) -> int:
+        return self.table[mask]
+
+    def apply(self, t: Subset) -> Subset:
+        return self.parent.base.subset_from_mask(self.table[t.mask])
+
+    __call__ = apply
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, OperatorTable)
+            and self.kind == other.kind
+            and self.parent.base == other.parent.base
+            and self.table == other.table
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.parent.base, self.table))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self.table)!r})"
+
+
+class ClosureTable(OperatorTable):
+    __slots__ = ()
+    kind = "closure"
+
+
+class InteriorTable(OperatorTable):
+    __slots__ = ()
+    kind = "interior"
+
+
+def conjugate(t: OperatorTable) -> OperatorTable:
+    """The table ``m -> not t(not m)`` of the other kind; an involution that
+    sends fixed carriers to their complements."""
+    full = (1 << len(t.parent.base)) - 1
+    other = InteriorTable if t.kind == "closure" else ClosureTable
+    return other(t.parent, (full ^ t.table[full ^ m] for m in range(full + 1)))
+
+
+# -- parent checks -----------------------------------------------------------
+
+
+def common_parent(tables: list[OperatorTable]) -> Cover:
+    if not tables:
+        raise ValueError("empty operator family")
+    parent = tables[0].parent
+    for t in tables[1:]:
+        if not parent.same_cover(t.parent):
+            raise MixedParentError("operator tables have different parent covers")
+    return parent
+
+
+def check_morphism_tables(
+    m: ValidatedMorphism, src: OperatorTable, tgt: OperatorTable
+) -> None:
+    """The two tables live on the source and the target of the morphism."""
+    if not src.parent.same_cover(m.source_cover):
+        raise MixedParentError("source table does not live on the morphism's source")
+    if not tgt.parent.same_cover(m.target_cover):
+        raise MixedParentError("target table does not live on the morphism's target")
+
+
+# -- pointwise lattice operations and order ----------------------------------
+
+
+def pointwise(cls: type, family: Iterable[OperatorTable], meet: bool) -> OperatorTable:
+    """Carrier by carrier intersection (``meet``) or union of a family."""
+    tables = list(family)
+    parent = common_parent(tables)
+    size = 1 << len(parent.base)
+    combine = operator.and_ if meet else operator.or_
+    out = [size - 1 if meet else 0] * size
+    for t in tables:
+        out = list(map(combine, out, t.table))
+    return cls(parent, out)
+
+
+def compare(s: OperatorTable, t: OperatorTable) -> Verdict:
+    """Pointwise-order certificate with a witness carrier on failure."""
+    common_parent([s, t])
+    checked = 0
+    for m, (sm, tm) in enumerate(zip(s.table, t.table)):
+        checked += 1
+        if sm & ~tm:
+            return Verdict.fail({"carrier": s.parent.base.subset_from_mask(m)}, checked)
+    return Verdict.ok(checked)
+
+
+def leq(s: OperatorTable, t: OperatorTable) -> bool:
+    """Whether ``s`` is below ``t`` at every carrier."""
+    return compare(s, t).passed
+
+
+# -- fixed carriers ----------------------------------------------------------
+
+
+def is_fixed(t: OperatorTable, s: Subset) -> bool:
+    return t.table[s.mask] == s.mask
+
+
+def fixed_masks(t: OperatorTable) -> list[int]:
+    return [m for m, out in enumerate(t.table) if out == m]
+
+
+def fixed_carriers(t: OperatorTable) -> list[Subset]:
+    """The carriers the table fixes, in mask order: the closed carriers of
+    a closure table, the open ones of an interior table."""
+    base = t.parent.base
+    return [base.subset_from_mask(m) for m in fixed_masks(t)]
+
+
+def pull_back(m: ValidatedMorphism, tgt: OperatorTable, inner) -> list[int]:
+    """``preimage(tgt(inner(carrier)))`` for every source carrier of ``m``."""
+    rel = m.relation
+    return [rel.preimage_minus_mask(tgt.table[inner(s)]) for s in range(1 << len(rel.source))]
+
+
+def fixed_preimages(
+    m: ValidatedMorphism, cont: Verdict, src: OperatorTable, tgt: OperatorTable, **label
+) -> Verdict:
+    """Every carrier ``tgt`` fixes has a preimage that ``src`` fixes; ``cont``,
+    the continuity verdict of ``m`` for the tables, must pass.  A failure
+    names the least target carrier, after ``label``."""
+    if not cont.passed:
+        raise ContinuityPreconditionError(
+            f"morphism is not continuous for these tables: {cont.witness}"
+        )
+    rel = m.relation
+    checked = 0
+    for v in fixed_masks(tgt):
+        checked += 1
+        pre = rel.preimage_minus_mask(v)
+        if src.table[pre] != pre:
+            return Verdict.fail({**label, "carrier": rel.target.subset_from_mask(v)}, checked)
+    return Verdict.ok(checked)
+
+
+def reflect(t: OperatorTable) -> OperatorTable:
+    """Send each carrier to the intersection of the fixed carriers above it."""
+    size = 1 << len(t.parent.base)
+    fixed = fixed_masks(t)
+    table = []
+    for m in range(size):
+        acc = size - 1
+        for v in fixed:
+            if m & ~v == 0:
+                acc &= v
+        table.append(acc)
+    return type(t)(t.parent, table)
+
+
+# -- axioms ------------------------------------------------------------------
+
+
+def scan_axioms(t: OperatorTable, label: str, extensive: bool, fixed: int) -> Verdict:
+    """Axioms ``label`` 1-3, each failure with its least witness in mask order:
+    extension (contraction unless ``extensive``), monotonicity, and fixing
+    the carrier ``fixed``."""
+    base = t.parent.base
+    table = t.table
+    checked = 0
+    for mask, out in enumerate(table):
+        checked += 1
+        if (mask & ~out) if extensive else (out & ~mask):
+            return Verdict.fail(
+                {"axiom": f"{label}1", "carrier": base.subset_from_mask(mask)}, checked
+            )
+    for larger, out_larger in enumerate(table):
+        for smaller in submasks(larger):
+            checked += 1
+            if table[smaller] & ~out_larger:
+                return Verdict.fail(
+                    {
+                        "axiom": f"{label}2",
+                        "smaller": base.subset_from_mask(smaller),
+                        "larger": base.subset_from_mask(larger),
+                    },
+                    checked,
+                )
+    checked += 1
+    if table[fixed] != fixed:
+        return Verdict.fail(
+            {"axiom": f"{label}3", "carrier": base.subset_from_mask(fixed)}, checked
+        )
+    return Verdict.ok(checked)

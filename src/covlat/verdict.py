@@ -28,9 +28,6 @@ class Verdict:
             "checked": self.checked,
         }
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def _jsonify(value):
     if isinstance(value, Subset):

@@ -46,6 +46,7 @@ class TestGoldenFiles:
         [
             ("chain.json", "frame_chain.json"),
             ("free2.json", "frame_free2.json"),
+            ("m3.json", "frame_m3.json"),
         ],
     )
     def test_frame(self, instance, golden_name):
@@ -83,6 +84,34 @@ class TestExitCodes:
 
     def test_missing_file_is_two(self):
         assert run_cli("check", "nope.json").returncode == 2
+
+    # An element given as a list: once per place an element name is read.
+    @pytest.mark.parametrize(
+        "args,files,element",
+        [
+            (["check", "in.json"], {"in.json": {"base": ["a", "b"], "axioms": [[["a"], ["b"]]]}}, "a"),
+            (["check", "in.json"], {"in.json": {"base": ["a", "b"], "axioms": [["a", [["b"]]]]}}, "b"),
+            (["check", "in.json"], {"in.json": {"base": ["a"], "table": [[[["a"]], ["a"]]]}}, "a"),
+            (
+                ["operator", "verify", "op.json"],
+                {
+                    "cover.json": {"base": ["a"], "axioms": []},
+                    "op.json": {"cover": "cover.json", "table": [[[], []], [[["a"]], ["a"]]]},
+                },
+                "a",
+            ),
+        ],
+        ids=["axiom-head", "axiom-body", "instance-table", "operator-table"],
+    )
+    def test_nested_list_is_one_line_input_error(self, tmp_path, args, files, element):
+        for name, data in files.items():
+            (tmp_path / name).write_text(json.dumps(data))
+        proc = run_cli(*args, cwd=tmp_path)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert "unhashable" not in proc.stderr
+        assert lines[0].endswith(f"element [{element!r}] is not in this base")
 
     def test_cap_exceeded_is_three(self):
         big = {"base": [f"e{i}" for i in range(12)], "axioms": []}
@@ -195,6 +224,22 @@ class TestCertifyCommand:
             return certs
 
         assert strip(a.stdout) == strip(b.stdout)
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_is_input_error(self, samples):
+        proc = run_cli("certify", "--samples", samples)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: --samples must be at least 1, got {samples}\n"
+
+    def test_certificate_without_instances_fails(self):
+        # at seed 0 a single sample gives the initial-lift certificate no instance
+        proc = run_cli("certify", "--samples", "1")
+        assert proc.returncode == 1
+        certs = {c["claim"]: c for c in json.loads(proc.stdout)}
+        lift = certs["initial-operator-factorization"]
+        assert lift["instances"] == 0 and lift["pass"] is False
+        assert "FAIL initial-operator-factorization (0 instances)" in proc.stderr
 
 
 class TestRoundTrip:

@@ -27,12 +27,13 @@ from covlat import (
     trivial_interior,
     verify_interior_axioms,
 )
-from covlat.errors import ContinuityPreconditionError
+from covlat.errors import CompositionDefectError, ContinuityPreconditionError
 from covlat.oracle import (
     enumerate_interior_tables,
     random_cover,
     random_interior_table,
 )
+from covlat.verdict import Verdict
 
 
 class TestAxioms:
@@ -148,6 +149,16 @@ class TestInitialInterior:
         out = initial_interior_corrected(m, discrete_interior(one))
         assert verify_interior_axioms(out).passed
         assert is_i_continuous(m, out, discrete_interior(one)).passed
+
+    def test_corrected_reverification_failure_is_a_defect_error(self, free2, monkeypatch):
+        # a runtime check, not an assert: it must survive python -O
+        import covlat.interior
+
+        m, one = self.collapse(free2)
+        failing = Verdict.fail({"carrier": one.base.full()}, 1)
+        monkeypatch.setattr(covlat.interior, "is_i_continuous", lambda *args: failing)
+        with pytest.raises(CompositionDefectError, match="not continuous"):
+            initial_interior_corrected(m, discrete_interior(one))
 
     def test_corrected_requires_totality(self, free2):
         one = Cover.from_axiom_names(BaseSet(["x"]), [])

@@ -97,6 +97,15 @@ class TestCertificates:
         cert = certify_initial_lift(EnumerationBudget(samples=10))
         assert cert.passed, cert.witness
 
+    def test_certificate_without_instances_fails(self):
+        # at seed 0 a single sample yields no instance to test the lift on
+        cert = certify_initial_lift(EnumerationBudget(samples=1, seed=0))
+        assert cert.instances == 0
+        assert not cert.passed and cert.witness == {"claim": "no instances checked"}
+
+    def test_bounds_name_only_what_is_used(self):
+        assert set(EnumerationBudget().to_json()) == {"max_cover_size", "samples", "seed"}
+
     def test_certificate_json_shape(self):
         cert = certify_saturation(EnumerationBudget(samples=1))
         js = cert.to_json()
