@@ -23,7 +23,7 @@ from .errors import (
     UpperBoundFailureError,
 )
 from .fileio import Workspace, dump_json, load_instance, operator_to_json
-from .morphism import (
+from .morphism import (  # noqa: F401 - perfbench/selftest.py reads cli.respects_covers
     Relation,
     ValidatedMorphism,
     canonical_form,
@@ -107,10 +107,14 @@ def cmd_morphism(args) -> int:
     ws = Workspace()
     if args.action == "verify":
         relation, src, tgt = _load_morphism(ws, args.files[0])
-        respects = respects_covers(relation, src, tgt)
-        report = {"file": args.files[0], "respects": respects.to_json()}
-        if respects.passed:
+        try:
             m = ValidatedMorphism.build(relation, src, tgt)
+        except MorphismValidationError as exc:
+            m, respects = None, exc.verdict
+        else:
+            respects = m.respects
+        report = {"file": args.files[0], "respects": respects.to_json()}
+        if m is not None:
             report["convergent"] = m.convergent.to_json()
             ok = m.convergent.passed
         else:
@@ -224,6 +228,8 @@ def cmd_operator(args) -> int:
 def cmd_certify(args) -> int:
     if args.samples < 1:
         raise InputError(f"--samples must be at least 1, got {args.samples}")
+    if args.max_cover_size < 0:
+        raise InputError(f"--max-cover-size must be at least 0, got {args.max_cover_size}")
     budget = EnumerationBudget(
         max_cover_size=args.max_cover_size,
         samples=args.samples,

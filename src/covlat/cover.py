@@ -195,27 +195,53 @@ class Cover:
 
     # -- global predicates ---------------------------------------------------
 
+    def minimal_covers(self) -> list[list[int]]:
+        """For each element a, the masks covering a minimally, in mask order.
+
+        By monotonicity of saturation, v covers a minimally iff a is in
+        sat(v) and in no sat(v - b) for b in v.
+        """
+        n = len(self.base)
+        require_cap("minimal_covers", n, "single")
+        sat = [self.saturate_mask(m) for m in range(1 << n)]
+        minimal: list[list[int]] = [[] for _ in range(n)]
+        for v, fresh in enumerate(sat):
+            m = v
+            while m:
+                low = m & -m
+                fresh &= ~sat[v ^ low]
+                m ^= low
+            while fresh:
+                low = fresh & -fresh
+                minimal[low.bit_length() - 1].append(v)
+                fresh ^= low
+        return minimal
+
     def is_convergent(self) -> Verdict:
         """Check that covering two subsets implies covering their down-set.
 
         Witness order: element, then the second subset, then the first,
         all in canonical mask order; the reported witness is ``(a, u, v)``.
+
+        Only pairs of minimal covers of a are examined, and ``checked``
+        counts those pairs.  Saturation and the down-set are monotone, so
+        if ``(a, u, v)`` fails then so does every ``(a, u0, v0)`` with
+        ``u0 <= u`` and ``v0 <= v`` still covering a; a submask is never
+        larger in mask order, so the least failure is a minimal pair and
+        the witness is the one the scan over all covers would report
+        (``oracle.is_convergent_full``).
         """
         n = len(self.base)
         require_cap("is_convergent", n, "double")
         checked = 0
-        subsets = list(range(1 << n))
-        sat = [self.saturate_mask(m) for m in subsets]
+        minimal = self.minimal_covers()
         for a in range(n):
             bit = 1 << a
-            for v in subsets:
-                if not sat[v] & bit:
-                    continue
-                for u in subsets:
-                    if not sat[u] & bit:
-                        continue
+            covers = minimal[a]
+            for v in covers:
+                for u in covers:
                     checked += 1
-                    if not sat[self.down_mask(u, v)] & bit:
+                    if not self.saturate_mask(self.down_mask(u, v)) & bit:
                         return Verdict.fail(
                             {
                                 "element": self.base.elements[a],
@@ -291,15 +317,24 @@ class FrameOfSaturated:
         return u.issubset(v)
 
     def hasse_edges(self) -> list[tuple[Subset, Subset]]:
-        """Covering pairs (u, v) with u strictly below v and nothing between."""
+        """Covering pairs (u, v) with u strictly below v and nothing between.
+
+        Every saturated v strictly above u contains some x outside u, and
+        so contains sat(u + x); the upper covers of u are therefore the
+        minimal sets among those n saturations.  Edges come in (u, v) mask
+        order, as in ``oracle.hasse_edges_full``.
+        """
+        saturate = self.cover.saturate_mask
+        by_mask = {s.mask: s for s in self.sets}
+        n = len(self.cover.base)
         edges = []
         for u in self.sets:
-            for v in self.sets:
-                if not u < v:
-                    continue
-                if any(u < w < v for w in self.sets):
-                    continue
-                edges.append((u, v))
+            ups = sorted(
+                {saturate(u.mask | 1 << x) for x in range(n) if not u.mask >> x & 1}
+            )
+            for v in ups:
+                if not any(w != v and w & ~v == 0 for w in ups):
+                    edges.append((u, by_mask[v]))
         return edges
 
 

@@ -101,7 +101,10 @@ def load_instance(path: str) -> Cover:
 
 def parse_space(data, where="space") -> ConcreteSpace:
     points = _expect(data, "points", list, where)
-    base = BaseSet(_expect(data, "base", list, where))
+    try:
+        base = BaseSet(_expect(data, "base", list, where))
+    except ValueError as exc:
+        raise InputError(f"{where}: {exc}") from exc
     forcing = _expect(data, "forcing", list, where)
     pairs = []
     for row in forcing:

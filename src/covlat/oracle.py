@@ -25,8 +25,15 @@ from .closure import (
     is_c_continuous,
     verify_closure_axioms,
 )
-from .cover import Cover, CoverAxioms, FiniteSuplattice, cover_from_suplattice
+from .cover import (
+    Cover,
+    CoverAxioms,
+    FiniteSuplattice,
+    FrameOfSaturated,
+    cover_from_suplattice,
+)
 from .errors import (
+    BaseMismatchError,
     CapExceededError,
     InitialContinuityDefectError,
     MorphismValidationError,
@@ -226,6 +233,77 @@ def all_relations(source: BaseSet, target: BaseSet):
         yield Relation(
             source, target, [pairs[i] for i in range(len(pairs)) if choice >> i & 1]
         )
+
+
+# -- scans over every cover, the references for the minimal-cover cuts -------
+
+
+def is_convergent_full(cover: Cover) -> Verdict:
+    """Convergence quantified over all pairs of covers of each element."""
+    n = len(cover.base)
+    require_cap("is_convergent_full", n, "double")
+    checked = 0
+    subsets = list(range(1 << n))
+    sat = [cover.saturate_mask(m) for m in subsets]
+    for a in range(n):
+        bit = 1 << a
+        for v in subsets:
+            if not sat[v] & bit:
+                continue
+            for u in subsets:
+                if not sat[u] & bit:
+                    continue
+                checked += 1
+                if not sat[cover.down_mask(u, v)] & bit:
+                    return Verdict.fail(
+                        {
+                            "element": cover.base.elements[a],
+                            "u": cover.base.subset_from_mask(u),
+                            "v": cover.base.subset_from_mask(v),
+                        },
+                        checked,
+                    )
+    return Verdict.ok(checked)
+
+
+def hasse_edges_full(frame: FrameOfSaturated) -> list[tuple[Subset, Subset]]:
+    """Covering pairs found by testing every triple of saturated sets."""
+    edges = []
+    for u in frame.sets:
+        for v in frame.sets:
+            if not u < v:
+                continue
+            if any(u < w < v for w in frame.sets):
+                continue
+            edges.append((u, v))
+    return edges
+
+
+def respects_covers_every_cover(r: Relation, c1: Cover, c2: Cover) -> Verdict:
+    """Singleton reduction of cover respect over every cover of each
+    target element, not only the minimal ones."""
+    if r.source != c1.base or r.target != c2.base:
+        raise BaseMismatchError("relation endpoints do not match the covers")
+    n2 = len(c2.base)
+    require_cap("respects_covers_every_cover", n2, "respects")
+    checked = 0
+    for a in range(n2):
+        bit = 1 << a
+        pre_a = r._preimage[a]
+        for v in range(1 << n2):
+            if not c2.saturate_mask(v) & bit:
+                continue
+            checked += 1
+            pre_v = r.preimage_minus_mask(v)
+            if pre_a & ~c1.saturate_mask(pre_v):
+                return Verdict.fail(
+                    {
+                        "element": c2.base.elements[a],
+                        "v": c2.base.subset_from_mask(v),
+                    },
+                    checked,
+                )
+    return Verdict.ok(checked)
 
 
 # -- full-quantifier references for the singleton reductions -----------------

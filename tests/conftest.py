@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import covlat
-from covlat import BaseSet, Cover
+from covlat import BaseSet, ConcreteSpace, Cover, cover_from_concrete_space
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -45,6 +45,21 @@ def data_path(name: str) -> str:
 def golden(name: str) -> str:
     with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
         return fh.read()
+
+
+def random_space_cover(rng, size, points=4):
+    """The cover induced by a seeded concrete space on `size` observables."""
+    base = BaseSet([chr(ord("a") + i) for i in range(size)])
+    names = [f"p{i}" for i in range(points)]
+    forcing = [(p, a) for p in names for a in base.elements if rng.random() < 0.4]
+    return cover_from_concrete_space(ConcreteSpace(names, base, forcing))
+
+
+def assert_same_verdict(fast, slow):
+    """A cut agrees with its full scan and examines no more cases."""
+    assert fast.passed == slow.passed
+    assert fast.witness == slow.witness
+    assert fast.checked <= slow.checked
 
 
 @pytest.fixture

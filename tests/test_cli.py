@@ -6,7 +6,14 @@ import sys
 import pytest
 
 import covlat
-from covlat import Workspace, dump_json, instance_to_json, load_instance, parse_instance
+from covlat import (
+    InputError,
+    Workspace,
+    dump_json,
+    instance_to_json,
+    load_instance,
+    parse_instance,
+)
 from covlat.fileio import operator_to_json, space_to_json, parse_space
 from conftest import DATA, cli_env, data_path, golden, run_cli
 
@@ -140,6 +147,24 @@ class TestMorphismCommands:
         report = json.loads(proc.stdout)
         assert report["canonical"] == {"a": ["a"], "b": ["b"]}
 
+    def test_verify_failure_reports_respect_witness(self, tmp_path):
+        # free2 to the chain sends a to a and b to b: a is covered by {b}
+        # in the chain, but the preimage {b} does not cover a in free2
+        rel = {
+            "source": data_path("free2.json"),
+            "target": data_path("chain.json"),
+            "pairs": [["a", "a"], ["b", "b"]],
+        }
+        (tmp_path / "rel.json").write_text(json.dumps(rel))
+        proc = run_cli("morphism", "verify", "rel.json", cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == "respects covers: False\n"
+        assert json.loads(proc.stdout) == {
+            "file": "rel.json",
+            "respects": {"pass": False, "witness": {"element": "a", "v": ["b"]}, "checked": 2},
+            "pass": False,
+        }
+
     def test_compose_with_identity_is_equivalent(self):
         proc = run_cli("morphism", "compose", "id2.json", "collapse.json")
         assert proc.returncode == 0
@@ -232,6 +257,12 @@ class TestCertifyCommand:
         assert proc.stdout == ""
         assert proc.stderr == f"error: --samples must be at least 1, got {samples}\n"
 
+    def test_negative_max_cover_size_is_input_error(self):
+        proc = run_cli("certify", "--max-cover-size", "-1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: --max-cover-size must be at least 0, got -1\n"
+
     def test_certificate_without_instances_fails(self):
         # at seed 0 a single sample gives the initial-lift certificate no instance
         proc = run_cli("certify", "--samples", "1")
@@ -261,6 +292,10 @@ class TestRoundTrip:
         sp = parse_space(data)
         assert space_to_json(sp) == data
         assert space_to_json(parse_space(space_to_json(sp))) == data
+
+    def test_space_with_bad_element_is_input_error(self):
+        with pytest.raises(InputError, match="^space: element identifiers must be non-empty strings: 1$"):
+            parse_space({"points": [], "base": [1], "forcing": []})
 
     def test_operator_round_trip(self):
         ws = Workspace()

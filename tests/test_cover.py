@@ -16,7 +16,14 @@ from covlat import (
     cover_from_suplattice,
     cover_from_table,
 )
-from covlat.oracle import naive_saturate, random_cover
+from covlat.oracle import (
+    hasse_edges_full,
+    is_convergent_full,
+    naive_saturate,
+    random_cover,
+    standard_suplattices,
+)
+from conftest import assert_same_verdict, random_space_cover
 
 
 def small_cover(seed, size):
@@ -102,6 +109,54 @@ class TestConvergence:
 
     def test_chain_is_convergent(self, chain2):
         assert chain2.is_convergent().passed
+
+
+class TestMinimalCoverCuts:
+    """The minimal-cover and upper-cover scans against the full scans."""
+
+    @given(st.integers(0, 10_000), st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_minimal_covers_by_definition(self, seed, size):
+        c = small_cover(seed, size)
+        minimal = c.minimal_covers()
+        for a in range(size):
+            covers = [v for v in range(1 << size) if c.saturate_mask(v) >> a & 1]
+            assert minimal[a] == [
+                v for v in covers if not any(w != v and w & ~v == 0 for w in covers)
+            ]
+
+    @given(st.integers(0, 10_000), st.integers(0, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_convergence_matches_full_scan(self, seed, size):
+        c = small_cover(seed, size)
+        assert_same_verdict(c.is_convergent(), is_convergent_full(c))
+
+    @given(st.integers(0, 10_000), st.integers(0, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_hasse_edges_match_full_scan(self, seed, size):
+        fr = small_cover(seed, size).saturated_sets()
+        assert fr.hasse_edges() == hasse_edges_full(fr)
+
+    @given(st.integers(0, 10_000), st.integers(0, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_concrete_space_covers(self, seed, size):
+        c = random_space_cover(random.Random(seed), size)
+        assert_same_verdict(c.is_convergent(), is_convergent_full(c))
+        fr = c.saturated_sets()
+        assert fr.hasse_edges() == hasse_edges_full(fr)
+
+    @pytest.mark.parametrize("name", sorted(standard_suplattices()))
+    def test_suplattice_covers(self, name):
+        c = cover_from_suplattice(standard_suplattices()[name])
+        assert_same_verdict(c.is_convergent(), is_convergent_full(c))
+        fr = c.saturated_sets()
+        assert fr.hasse_edges() == hasse_edges_full(fr)
+
+    def test_m3_checks_one_pair_per_minimal_cover_pair(self, m3_cover):
+        # a is minimally covered by {a} and {b, c}; the pair ({b, c}, {a})
+        # is the second one examined and fails
+        assert m3_cover.minimal_covers()[0] == [0b001, 0b110]
+        assert m3_cover.is_convergent().checked == 2
 
 
 class TestFrame:

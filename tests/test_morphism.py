@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covlat import (
     BaseMismatchError,
@@ -11,6 +13,7 @@ from covlat import (
     ValidatedMorphism,
     canonical_form,
     compose,
+    cover_from_suplattice,
     equivalent,
     identity,
     respects_covers,
@@ -21,8 +24,16 @@ from covlat.oracle import (
     all_relations,
     convergent_morphism_full,
     random_cover,
+    respects_covers_every_cover,
     respects_covers_full,
+    standard_suplattices,
 )
+from conftest import assert_same_verdict, random_space_cover
+
+
+def random_relation(rng, c1, c2):
+    pairs = [(s, t) for s in c1.base.elements for t in c2.base.elements if rng.random() < 0.5]
+    return Relation(c1.base, c2.base, pairs)
 
 
 class TestRelation:
@@ -80,6 +91,32 @@ class TestRespectsCovers:
             fast = respects_covers(r, c1, c2)
             slow = respects_covers_full(r, c1, c2)
             assert fast.passed == slow.passed
+
+
+class TestRespectsMinimalCovers:
+    """Cover respect on minimal covers against the scan over every cover."""
+
+    @given(st.integers(0, 10_000), st.integers(0, 5), st.integers(0, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_random_covers(self, seed, n1, n2):
+        rng = random.Random(seed)
+        c1 = random_cover(rng, n1)
+        c2 = random_cover(rng, n2)
+        r = random_relation(rng, c1, c2)
+        assert_same_verdict(respects_covers(r, c1, c2), respects_covers_every_cover(r, c1, c2))
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_suplattice_and_concrete_space_covers(self, seed):
+        rng = random.Random(seed)
+        lats = standard_suplattices()
+        c1 = cover_from_suplattice(lats[rng.choice(sorted(lats))])
+        c2 = random_space_cover(rng, 4, points=3)
+        for src, tgt in ((c1, c2), (c2, c1)):
+            r = random_relation(rng, src, tgt)
+            assert_same_verdict(
+                respects_covers(r, src, tgt), respects_covers_every_cover(r, src, tgt)
+            )
 
 
 class TestConvergentMorphism:
