@@ -9,10 +9,12 @@ which cap applies:
 * ``double`` -- two nested subset quantifiers (default 8).
 
 The environment variable ``COVLAT_MAX_BASE`` overrides all three, bounded
-above by the hard cap 16.
+above by the hard cap 16.  A value that is not an integer leaves the
+defaults in force and raises a ``RuntimeWarning`` naming it.
 """
 
 import os
+import warnings
 
 from .errors import CapExceededError
 
@@ -27,6 +29,12 @@ def cap_for(kind):
         try:
             value = int(override)
         except ValueError:
+            # one fixed call site and message: the default filter shows it once
+            warnings.warn(
+                f"ignoring COVLAT_MAX_BASE={override!r}: not an integer; "
+                "the default caps apply",
+                RuntimeWarning,
+            )
             value = _DEFAULTS[kind]
         return max(0, min(value, HARD_CAP))
     return _DEFAULTS[kind]

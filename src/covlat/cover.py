@@ -4,7 +4,9 @@ A cover is presented by generating axioms ``(a, V)``: the relation
 ``a covers U`` is the least one containing the axioms that is reflexive
 and transitive.  Saturation (the set of all elements covering ``U``) is
 computed by a forward-chaining worklist with per-axiom missing-premise
-counters and memoized per subset.
+counters and memoized per subset.  Whole-powerset consumers read one
+saturation table per cover instead, built from saturated sets plus one
+element.
 
 Also here: ingestion of concrete topological spaces (points, observables
 and a forcing relation), covers induced by finite suplattices, and
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .caps import require_cap
+from .caps import cap_for, require_cap
 from .errors import BaseMismatchError, InputError
 from .sets import BaseSet, Subset, popcount
 from .verdict import Verdict
@@ -80,6 +82,8 @@ class Cover:
         self._cache: dict[int, int] = {}
         self._singleton_sats: list[int] | None = None
         self._covered_by: list[int] | None = None
+        self._table: list[int] | None = None
+        self._inert = 0
         if saturation_fn is None:
             # Compiled form: (head bit index, premise mask) plus, per element,
             # the axioms whose premise mentions it.
@@ -92,6 +96,8 @@ class Cover:
                     watchers[low.bit_length() - 1].append(ax_id)
                     m ^= low
             self._watchers = watchers
+            # elements in no premise: adding one to a saturated set fires nothing
+            self._inert = sum(1 << x for x, ws in enumerate(watchers) if not ws)
 
     @classmethod
     def from_axiom_names(
@@ -143,6 +149,56 @@ class Cover:
                         result |= 1 << head
                         queue.append(head)
         return result
+
+    def _add_element(self, s: int, low: int) -> int:
+        """sat(s + x) for a saturated s and the one-bit mask ``low`` of x.
+
+        Every axiom whose premise lies in s already has its head in s, so
+        only axioms watching an added element can fire.  Elements enter
+        ``result`` as they are queued, so when the last-added element of a
+        premise is popped the whole premise is in and the axiom fires.
+        """
+        if self._saturation_fn is not None:
+            return self.saturate_mask(s | low)
+        compiled = self._compiled
+        watchers = self._watchers
+        result = s | low
+        queue = [low.bit_length() - 1]
+        while queue:
+            for ax_id in watchers[queue.pop()]:
+                head, prem = compiled[ax_id]
+                if not result >> head & 1 and prem & ~result == 0:
+                    result |= 1 << head
+                    queue.append(head)
+        return result
+
+    def saturation_table(self) -> list[int]:
+        """sat(m) for every mask m, in mask order; computed once per cover.
+
+        With b the lowest bit of v and s = sat(v - b), sat(v) is s when b
+        is in s and sat(s + b) otherwise.  Every chain therefore starts
+        from a saturated set plus one element: at most n * |F| distinct
+        starts for a frame F of saturated sets, and none of them goes
+        through ``saturate_mask`` or its cache on an axiom cover.  The
+        reference is ``oracle.saturation_table_full``.
+        """
+        if self._table is None:
+            n = len(self.base)
+            require_cap("saturation_table", n, "single")
+            add = self._add_element
+            inert = self._inert
+            table = [self.saturate_mask(0)]
+            for v in range(1, 1 << n):
+                low = v & -v
+                s = table[v ^ low]
+                if s & low:
+                    table.append(s)
+                elif low & inert:
+                    table.append(s | low)
+                else:
+                    table.append(add(s, low))
+            self._table = table
+        return self._table
 
     def saturate(self, u: Subset) -> Subset:
         self._check(u)
@@ -203,7 +259,7 @@ class Cover:
         """
         n = len(self.base)
         require_cap("minimal_covers", n, "single")
-        sat = [self.saturate_mask(m) for m in range(1 << n)]
+        sat = self.saturation_table()
         minimal: list[list[int]] = [[] for _ in range(n)]
         for v, fresh in enumerate(sat):
             m = v
@@ -257,11 +313,11 @@ class Cover:
         require_cap("saturated_sets", n, "single")
         fixed = [
             self.base.subset_from_mask(m)
-            for m in range(1 << n)
-            if self.saturate_mask(m) == m
+            for m, sat in enumerate(self.saturation_table())
+            if sat == m
         ]
         convergent = None
-        if n <= 8:
+        if n <= cap_for("double"):
             convergent = self.is_convergent()
         return FrameOfSaturated(self, tuple(fixed), convergent)
 
@@ -321,16 +377,17 @@ class FrameOfSaturated:
 
         Every saturated v strictly above u contains some x outside u, and
         so contains sat(u + x); the upper covers of u are therefore the
-        minimal sets among those n saturations.  Edges come in (u, v) mask
-        order, as in ``oracle.hasse_edges_full``.
+        minimal sets among those n saturations, read from the cover's
+        saturation table.  Edges come in (u, v) mask order, as in
+        ``oracle.hasse_edges_full``.
         """
-        saturate = self.cover.saturate_mask
+        table = self.cover.saturation_table()
         by_mask = {s.mask: s for s in self.sets}
         n = len(self.cover.base)
         edges = []
         for u in self.sets:
             ups = sorted(
-                {saturate(u.mask | 1 << x) for x in range(n) if not u.mask >> x & 1}
+                {table[u.mask | 1 << x] for x in range(n) if not u.mask >> x & 1}
             )
             for v in ups:
                 if not any(w != v and w & ~v == 0 for w in ups):

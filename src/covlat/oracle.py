@@ -82,6 +82,7 @@ class Certificate:
     witness: dict | None
     instances: int
     runtime_s: float = field(default=0.0)
+    skipped: int = 0  # samples drawn but not usable as an instance
 
     def to_json(self) -> dict:
         return {
@@ -90,6 +91,7 @@ class Certificate:
             "pass": self.passed,
             "witness": _jsonify(self.witness),
             "instances": self.instances,
+            "skipped": self.skipped,
             "runtime_s": round(self.runtime_s, 6),
         }
 
@@ -235,7 +237,18 @@ def all_relations(source: BaseSet, target: BaseSet):
         )
 
 
-# -- scans over every cover, the references for the minimal-cover cuts -------
+# -- scans over every subset, the references for the saturation table and ---
+# -- the minimal-cover cuts ---------------------------------------------------
+
+
+def saturation_table_full(cover: Cover) -> list[int]:
+    """One saturation per subset, on a fresh copy of the cover so that no
+    cached result of the fast path is read back; the reference for
+    ``Cover.saturation_table``."""
+    n = len(cover.base)
+    require_cap("saturation_table_full", n, "single")
+    fresh = Cover(cover.base, cover.axioms, cover._saturation_fn)
+    return [fresh.saturate_mask(m) for m in range(1 << n)]
 
 
 def is_convergent_full(cover: Cover) -> Verdict:
@@ -503,13 +516,16 @@ def certify_initial_lift(budget: EnumerationBudget) -> Certificate:
     into the initial structure iff its composite with the inducing
     morphism is continuous into the target structure."""
     bounds = budget.to_json()
+    skipped = 0
 
     def run():
+        nonlocal skipped
         rng = budget.rng()
         instances = 0
         for _ in range(budget.samples):
             m = _sample_validated_morphism(rng, 2, 2, require_total=True)
             if m is None:
+                skipped += 1
                 continue
             c_tgt = random_closure_table(rng, m.target_cover)
             try:
@@ -517,6 +533,7 @@ def certify_initial_lift(budget: EnumerationBudget) -> Certificate:
             except InitialContinuityDefectError:
                 # documented relational gap; the factorization presupposes
                 # a continuity-inducing initial table
+                skipped += 1
                 continue
             i_tgt = random_interior_table(rng, m.target_cover)
             i_init = initial_interior_corrected(m, i_tgt)
@@ -548,7 +565,9 @@ def certify_initial_lift(budget: EnumerationBudget) -> Certificate:
                     )
         return True, None, instances
 
-    return _timed("initial-operator-factorization", bounds, run)
+    cert = _timed("initial-operator-factorization", bounds, run)
+    cert.skipped = skipped
+    return cert
 
 
 def standard_suplattices() -> dict[str, FiniteSuplattice]:

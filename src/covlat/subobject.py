@@ -124,15 +124,14 @@ def induced_cover(parent: Cover, t: Subset) -> list[tuple[str, Subset]]:
     n = len(parent.base)
     require_cap("induced_cover", n, "single")
     comp = t.complement()
+    saturated = [m for m, sat in enumerate(parent.saturation_table()) if sat == m]
     out = []
     seen = set()
     for a_idx in range(n):
         if not comp.mask >> a_idx & 1:
             continue
         a = parent.base.elements[a_idx]
-        for mask in range(1 << n):
-            if parent.saturate_mask(mask) != mask:
-                continue
+        for mask in saturated:
             if not mask >> a_idx & 1:
                 continue
             rhs = mask | comp.mask

@@ -27,12 +27,15 @@ def cli_env() -> dict:
     return env
 
 
-def run_cli(*args, cwd=DATA):
-    """Run `python -m covlat.cli ARGS` in cwd and capture its text output."""
+def run_cli(*args, cwd=DATA, env=None):
+    """Run `python -m covlat.cli ARGS` in cwd and capture its text output.
+
+    `env` holds variables to set on top of `cli_env()`.
+    """
     return subprocess.run(
         [sys.executable, "-m", "covlat.cli", *args],
         cwd=cwd,
-        env=cli_env(),
+        env={**cli_env(), **(env or {})},
         capture_output=True,
         text=True,
     )

@@ -120,6 +120,14 @@ class TestExitCodes:
         assert "unhashable" not in proc.stderr
         assert lines[0].endswith(f"element [{element!r}] is not in this base")
 
+    def test_unparsable_cap_override_warns_once(self):
+        plain = run_cli("check", "m3.json")
+        proc = run_cli("check", "m3.json", env={"COVLAT_MAX_BASE": "abc"})
+        assert proc.returncode == plain.returncode == 1
+        assert proc.stdout == plain.stdout
+        assert proc.stderr.count("RuntimeWarning") == 1
+        assert "COVLAT_MAX_BASE='abc'" in proc.stderr
+
     def test_cap_exceeded_is_three(self):
         big = {"base": [f"e{i}" for i in range(12)], "axioms": []}
         import tempfile

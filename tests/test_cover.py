@@ -11,16 +11,20 @@ from covlat import (
     ConcreteSpace,
     Cover,
     FiniteSuplattice,
+    FrameOfSaturated,
     InputError,
+    cap_for,
     cover_from_concrete_space,
     cover_from_suplattice,
     cover_from_table,
+    induced_cover,
 )
 from covlat.oracle import (
     hasse_edges_full,
     is_convergent_full,
     naive_saturate,
     random_cover,
+    saturation_table_full,
     standard_suplattices,
 )
 from conftest import assert_same_verdict, random_space_cover
@@ -157,6 +161,87 @@ class TestMinimalCoverCuts:
         # is the second one examined and fails
         assert m3_cover.minimal_covers()[0] == [0b001, 0b110]
         assert m3_cover.is_convergent().checked == 2
+
+
+def induced_cover_scan(cover, full, t):
+    """`induced_cover` from a plain table: every mask tested for closure."""
+    n = len(cover.base)
+    comp = t.complement().mask
+    out = []
+    for a in range(n):
+        if comp >> a & 1:
+            for m in range(1 << n):
+                pair = (cover.base.elements[a], cover.base.subset_from_mask(m | comp))
+                if full[m] == m and m >> a & 1 and pair not in out:
+                    out.append(pair)
+    return out
+
+
+def assert_table_matches_scans(c):
+    """The table and every reader of it agree with one saturation per subset."""
+    n = len(c.base)
+    full = saturation_table_full(c)
+    assert c.saturation_table() == full
+    closed = [m for m in range(1 << n) if full[m] == m]
+    fr = c.saturated_sets()
+    assert [s.mask for s in fr.sets] == closed
+    covers = [[v for v in range(1 << n) if full[v] >> a & 1] for a in range(n)]
+    assert c.minimal_covers() == [
+        [v for v in vs if not any(w != v and w & ~v == 0 for w in vs)] for vs in covers
+    ]
+    scanned = FrameOfSaturated(c, tuple(c.base.subset_from_mask(m) for m in closed), None)
+    assert fr.hasse_edges() == hasse_edges_full(scanned)
+    for t in range(0, 1 << n, 3):
+        carrier = c.base.subset_from_mask(t)
+        assert induced_cover(c, carrier) == induced_cover_scan(c, full, carrier)
+
+
+class TestSaturationTable:
+    """`Cover.saturation_table` and its readers against plain scans."""
+
+    @pytest.mark.parametrize("density", [1, 2, 4])
+    @given(st.integers(0, 10_000), st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_random_covers(self, density, seed, size):
+        assert_table_matches_scans(random_cover(random.Random(seed), size, density * size))
+
+    @given(st.integers(0, 10_000), st.integers(0, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_concrete_space_covers(self, seed, size):
+        assert_table_matches_scans(random_space_cover(random.Random(seed), size))
+
+    @pytest.mark.parametrize("name", sorted(standard_suplattices()))
+    def test_suplattice_covers(self, name):
+        assert_table_matches_scans(cover_from_suplattice(standard_suplattices()[name]))
+
+    def late_premise_cover(self):
+        # a cycle a -> b -> c -> d -> a; d's premise {a, c} completes only
+        # when c arrives two steps after a; e needs b and d; one premise of
+        # f holds f itself, the other is {c, e}
+        base = BaseSet(["a", "b", "c", "d", "e", "f"])
+        return Cover.from_axiom_names(
+            base,
+            [("b", ["a"]), ("c", ["b"]), ("d", ["a", "c"]), ("a", ["d"]),
+             ("e", ["b", "d"]), ("f", ["e", "f"]), ("f", ["c", "e"])],
+        )
+
+    def test_premise_completed_late_in_a_cycle(self):
+        c = self.late_premise_cover()
+        assert_table_matches_scans(c)
+        table = c.saturation_table()
+        assert table[0b000001] == 0b111111  # {a} reaches everything
+        assert table[0b000100] == 0b000100  # {c} alone is saturated
+        assert table[0b001000] == 0b111111  # {d} gives a, then the cycle
+
+    def test_full_table_cover(self):
+        source = self.late_premise_cover()
+        table = dict(enumerate(saturation_table_full(source)))
+        c = cover_from_table(source.base, table)
+        assert_table_matches_scans(c)
+        assert c.saturation_table() == source.saturation_table()
+
+    def test_table_is_computed_once(self, m3_cover):
+        assert m3_cover.saturation_table() is m3_cover.saturation_table()
 
 
 class TestFrame:
@@ -303,6 +388,21 @@ class TestCaps:
         base = BaseSet(list(string.ascii_lowercase[:9]))
         c = Cover.from_axiom_names(base, [])
         assert c.is_convergent().passed
+
+    def test_env_override_reaches_frame_convergence(self, monkeypatch):
+        import string
+
+        base = BaseSet(list(string.ascii_lowercase[:9]))
+        c = Cover.from_axiom_names(base, [])
+        monkeypatch.delenv("COVLAT_MAX_BASE", raising=False)
+        assert c.saturated_sets().convergent is None
+        monkeypatch.setenv("COVLAT_MAX_BASE", "9")
+        assert c.saturated_sets().convergent.passed
+
+    def test_unparsable_override_warns_and_keeps_defaults(self, monkeypatch):
+        monkeypatch.setenv("COVLAT_MAX_BASE", "abc")
+        with pytest.warns(RuntimeWarning, match="COVLAT_MAX_BASE='abc'"):
+            assert cap_for("double") == 8
 
     def test_env_override_clamped_to_hard_cap(self, monkeypatch):
         import string

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from covlat import CapExceededError, Certificate, EnumerationBudget, default_certificates
+from covlat import (
+    CapExceededError,
+    Certificate,
+    EnumerationBudget,
+    InitialContinuityDefectError,
+    default_certificates,
+    oracle,
+)
 from covlat.oracle import (
     all_relations,
     certify_initial_lift,
@@ -109,7 +116,23 @@ class TestCertificates:
     def test_certificate_json_shape(self):
         cert = certify_saturation(EnumerationBudget(samples=1))
         js = cert.to_json()
-        assert set(js) == {"claim", "bounds", "pass", "witness", "instances", "runtime_s"}
+        assert set(js) == {
+            "claim", "bounds", "pass", "witness", "instances", "skipped", "runtime_s"
+        }
+        assert js["skipped"] == 0
+
+    def test_initial_lift_counts_skipped_samples(self, monkeypatch):
+        # at seed 0 the one sample has no usable morphism and is skipped
+        cert = certify_initial_lift(EnumerationBudget(samples=1, seed=0))
+        assert cert.skipped == 1 and cert.to_json()["skipped"] == 1
+        assert certify_initial_lift(EnumerationBudget(samples=3, seed=1)).skipped == 0
+
+        def defect(m, c_tgt):
+            raise InitialContinuityDefectError(m.source_cover.base.empty())
+
+        monkeypatch.setattr(oracle, "initial_closure", defect)
+        cert = certify_initial_lift(EnumerationBudget(samples=3, seed=1))
+        assert (cert.instances, cert.skipped, cert.passed) == (0, 3, False)
 
 
 class TestSuplatticeRoundtrip:
