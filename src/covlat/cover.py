@@ -80,7 +80,6 @@ class Cover:
         self.axioms = axioms if axioms is not None else CoverAxioms(base, ())
         self._saturation_fn = saturation_fn
         self._cache: dict[int, int] = {}
-        self._singleton_sats: list[int] | None = None
         self._covered_by: list[int] | None = None
         self._table: list[int] | None = None
         self._inert = 0
@@ -224,7 +223,6 @@ class Cover:
         if self._covered_by is None:
             n = len(self.base)
             sats = [self.saturate_mask(1 << i) for i in range(n)]
-            self._singleton_sats = sats
             covered = [0] * n
             for x, sat in enumerate(sats):
                 m = sat
@@ -601,7 +599,11 @@ def cover_from_suplattice(lat: FiniteSuplattice) -> Cover:
 
 def cover_from_table(base: BaseSet, table: dict[int, int]) -> Cover:
     """Accept a full relation table only if it already satisfies the two
-    cover conditions (reflexivity and transitivity); reject otherwise."""
+    cover conditions (reflexivity and transitivity); reject otherwise.
+
+    A rejection names the first failing subset, or pair of subsets, in
+    the table's row order, as ``oracle.cover_from_table_full`` does.
+    """
     n = len(base)
     if set(table) != set(range(1 << n)):
         raise InputError("relation table must list every subset of the base exactly once")
@@ -611,12 +613,18 @@ def cover_from_table(base: BaseSet, table: dict[int, int]) -> Cover:
                 f"table violates reflexivity at "
                 f"{base.subset_from_mask(mask).sorted_members()}"
             )
-    for u, sat_u in table.items():
-        for v, sat_v in table.items():
-            if u & ~sat_v == 0 and sat_u & ~sat_v:
-                raise InputError(
-                    f"table violates transitivity: "
-                    f"{base.subset_from_mask(u).sorted_members()} is covered by "
-                    f"{base.subset_from_mask(v).sorted_members()} but its cover set is not"
-                )
+    # Given reflexivity, transitivity (v covering u implies v covering u's
+    # cover set) holds exactly when the table is monotone and idempotent;
+    # monotonicity is checked on one-bit edges.
+    monotone = all(
+        table[m ^ 1 << b] & ~sat == 0
+        for m, sat in table.items()
+        for b in range(n)
+        if m >> b & 1
+    )
+    if not monotone or any(table.get(sat) != sat for sat in table.values()):
+        # the pair scan, in row order, names the failing pair
+        from .oracle import cover_from_table_full
+
+        return cover_from_table_full(base, table)
     return Cover(base, saturation_fn=table.__getitem__)

@@ -15,6 +15,9 @@ Formats (all UTF-8 JSON, deterministic field order):
   "interior", "table": [[["a"], ["a", "b"]], ...]}`` mapping sorted
   carrier lists to sorted carrier lists.
 
+A table, in an instance or an operator file, lists each subset on exactly
+one row.
+
 Subsets always serialize as sorted element lists.
 """
 
@@ -56,9 +59,13 @@ def _mask_table(data, base: BaseSet, where: str, shape: str) -> dict[int, int]:
             raise InputError(f"{where}: table rows must be {shape} pairs")
         try:
             key = base.subset(row[0]).mask
-            table[key] = base.subset(row[1]).mask
+            value = base.subset(row[1]).mask
         except Exception as exc:
             raise InputError(f"{where}: {exc}") from exc
+        if key in table:
+            members = base.subset_from_mask(key).sorted_members()
+            raise InputError(f"{where}: carrier {members} listed twice")
+        table[key] = value
     return table
 
 

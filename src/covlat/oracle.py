@@ -36,6 +36,7 @@ from .errors import (
     BaseMismatchError,
     CapExceededError,
     InitialContinuityDefectError,
+    InputError,
     MorphismValidationError,
 )
 from .interior import (
@@ -51,7 +52,9 @@ from .morphism import (
     compose,
     respects_covers,
 )
-from .sets import BaseSet, Subset
+from .sets import BaseSet, Subset, submasks
+from .subobject import Subobject, SublocaleFamily, SubobjectLattice
+from .table import OperatorTable
 from .verdict import Verdict, _jsonify
 
 
@@ -317,6 +320,130 @@ def respects_covers_every_cover(r: Relation, c1: Cover, c2: Cover) -> Verdict:
                     checked,
                 )
     return Verdict.ok(checked)
+
+
+# -- scans behind the structural table and family checks ---------------------
+# -- (the fast paths re-run these on failure, for their witnesses) ----------
+
+
+def scan_axioms_full(t: OperatorTable, label: str, extensive: bool, fixed: int) -> Verdict:
+    """The operator-table axioms with monotonicity tested on every submask
+    pair; the reference for ``table.scan_axioms``."""
+    base = t.parent.base
+    table = t.table
+    checked = 0
+    for mask, out in enumerate(table):
+        checked += 1
+        if (mask & ~out) if extensive else (out & ~mask):
+            return Verdict.fail(
+                {"axiom": f"{label}1", "carrier": base.subset_from_mask(mask)}, checked
+            )
+    for larger, out_larger in enumerate(table):
+        for smaller in submasks(larger):
+            checked += 1
+            if table[smaller] & ~out_larger:
+                return Verdict.fail(
+                    {
+                        "axiom": f"{label}2",
+                        "smaller": base.subset_from_mask(smaller),
+                        "larger": base.subset_from_mask(larger),
+                    },
+                    checked,
+                )
+    checked += 1
+    if table[fixed] != fixed:
+        return Verdict.fail(
+            {"axiom": f"{label}3", "carrier": base.subset_from_mask(fixed)}, checked
+        )
+    return Verdict.ok(checked)
+
+
+def reflect_full(t: OperatorTable) -> OperatorTable:
+    """Each carrier sent to the intersection of the fixed carriers above
+    it, testing every fixed carrier; the reference for ``table.reflect``."""
+    size = 1 << len(t.parent.base)
+    fixed = [m for m, out in enumerate(t.table) if out == m]
+    table = []
+    for m in range(size):
+        acc = size - 1
+        for v in fixed:
+            if m & ~v == 0:
+                acc &= v
+        table.append(acc)
+    return type(t)(t.parent, table)
+
+
+def cover_from_table_full(base: BaseSet, table: dict[int, int]) -> Cover:
+    """Table acceptance with transitivity tested on every pair of rows, in
+    row order; the reference for ``cover.cover_from_table``."""
+    n = len(base)
+    if set(table) != set(range(1 << n)):
+        raise InputError("relation table must list every subset of the base exactly once")
+    for mask, sat in table.items():
+        if mask & ~sat:
+            raise InputError(
+                f"table violates reflexivity at "
+                f"{base.subset_from_mask(mask).sorted_members()}"
+            )
+    for u, sat_u in table.items():
+        for v, sat_v in table.items():
+            if u & ~sat_v == 0 and sat_u & ~sat_v:
+                raise InputError(
+                    f"table violates transitivity: "
+                    f"{base.subset_from_mask(u).sorted_members()} is covered by "
+                    f"{base.subset_from_mask(v).sorted_members()} but its cover set is not"
+                )
+    return Cover(base, saturation_fn=table.__getitem__)
+
+
+def sublocale_verify_full(family: SublocaleFamily) -> Verdict:
+    """The sublocale-family laws tested on every pair of members and every
+    (subset, member) implication; the reference for
+    ``SublocaleFamily.verify``."""
+    base = family.carrier.base
+    checked = 0
+    full = (1 << len(base)) - 1
+    if full not in family._masks:
+        return Verdict.fail({"missing": base.subset_from_mask(full)}, checked)
+    bottom = full
+    for u in family.sets:
+        bottom &= u.mask
+        for v in family.sets:
+            checked += 1
+            if u.mask & v.mask not in family._masks:
+                return Verdict.fail(
+                    {"law": "intersection", "u": u, "v": v}, checked
+                )
+    if bottom != family.carrier.complement().mask:
+        return Verdict.fail(
+            {"law": "meet", "got": base.subset_from_mask(bottom)}, checked
+        )
+    for mask in range(1 << len(base)):
+        impl_lhs = full & ~mask
+        for w in family.sets:
+            checked += 1
+            if impl_lhs | w.mask not in family._masks:
+                return Verdict.fail(
+                    {
+                        "law": "implication",
+                        "u": base.subset_from_mask(mask),
+                        "w": w,
+                    },
+                    checked,
+                )
+    return Verdict.ok(checked)
+
+
+def subobject_hasse_edges_full(lat: SubobjectLattice) -> list[tuple[Subobject, Subobject]]:
+    """Covering pairs found by testing every pair of subobjects; the
+    reference for ``SubobjectLattice.hasse_edges``."""
+    edges = []
+    for x in lat.elements():
+        for y in lat.elements():
+            diff = y.carrier.mask & ~x.carrier.mask
+            if x.carrier.issubset(y.carrier) and diff and diff & (diff - 1) == 0:
+                edges.append((x, y))
+    return edges
 
 
 # -- full-quantifier references for the singleton reductions -----------------

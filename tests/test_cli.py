@@ -128,6 +128,45 @@ class TestExitCodes:
         assert proc.stderr.count("RuntimeWarning") == 1
         assert "COVLAT_MAX_BASE='abc'" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "args,files,where",
+        [
+            (
+                ["operator", "verify", "op.json"],
+                {
+                    "free2.json": {"base": ["a", "b"], "axioms": []},
+                    "op.json": {
+                        "cover": "free2.json",
+                        "kind": "closure",
+                        "table": [[[], []], [["a"], ["a", "b"]], [["b"], ["a", "b"]],
+                                  [["a", "b"], ["a", "b"]], [[], ["a", "b"]]],
+                    },
+                },
+                "op.json: carrier []",
+            ),
+            (
+                ["check", "in.json"],
+                {
+                    "in.json": {
+                        "base": ["a", "b"],
+                        "table": [[[], []], [["a"], ["a"]], [["b"], ["b"]],
+                                  [["a", "b"], ["a", "b"]], [["b", "a"], ["a", "b"]]],
+                    },
+                },
+                "in.json: carrier ['a', 'b']",
+            ),
+        ],
+        ids=["operator-table", "instance-table"],
+    )
+    def test_duplicate_table_row_is_two(self, tmp_path, args, files, where):
+        # a repeated carrier is an input error even when the rows agree
+        for name, data in files.items():
+            (tmp_path / name).write_text(json.dumps(data))
+        proc = run_cli(*args, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {where} listed twice\n"
+
     def test_cap_exceeded_is_three(self):
         big = {"base": [f"e{i}" for i in range(12)], "axioms": []}
         import tempfile
@@ -187,6 +226,11 @@ class TestOperatorCommands:
         proc = run_cli("operator", "verify", "trivial_closure_free2.json")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["pass"]
+
+    def test_passing_verify_counts_one_bit_edges(self):
+        # 2^n extension cases + n * 2^(n-1) one-bit edges + the fixed carrier
+        proc = run_cli("operator", "verify", "trivial_closure_free2.json")
+        assert json.loads(proc.stdout)["verdict"]["checked"] == 4 + 4 + 1
 
     def test_join_meet(self):
         proc = run_cli(

@@ -20,9 +20,12 @@ from covlat import (
     induced_cover,
 )
 from covlat.oracle import (
+    cover_from_table_full,
+    default_base,
     hasse_edges_full,
     is_convergent_full,
     naive_saturate,
+    random_closure_table,
     random_cover,
     saturation_table_full,
     standard_suplattices,
@@ -370,6 +373,71 @@ class TestRelationTable:
         base = BaseSet(["a", "b"])
         with pytest.raises(InputError):
             cover_from_table(base, {0: 0, 1: 1})
+
+    def test_rejection_names_first_failing_pair_in_row_order(self):
+        base = BaseSet(["a", "b"])
+        rows = [(0, 1), (1, 3), (2, 2), (3, 3)]
+        with pytest.raises(InputError, match=r"^table violates transitivity: \[\] is covered by \['b'\]"):
+            cover_from_table(base, dict(rows))
+        with pytest.raises(InputError, match=r"^table violates transitivity: \['a'\] is covered by \[\]"):
+            cover_from_table(base, dict(reversed(rows)))
+
+
+def table_outcome(accept, base, table):
+    """The saturation a table acceptance yields, or its rejection message."""
+    try:
+        c = accept(base, table)
+    except InputError as exc:
+        return str(exc)
+    return [c.saturate_mask(m) for m in range(1 << len(base))]
+
+
+class TestRelationTableCut:
+    """`cover_from_table` (extensive, one-bit monotone, idempotent) against
+    the scan over every pair of rows."""
+
+    def candidate_tables(self, rng, size):
+        full = (1 << size) - 1
+        sat = saturation_table_full(random_cover(rng, size, rng.choice([1, 2, 4]) * size))
+        bumped = list(sat)
+        bumped[rng.randrange(full + 1)] |= rng.randrange(full + 1)
+        closure = random_closure_table(rng, Cover(default_base(size)))
+        # idempotent and extensive, but each carrier goes to any closed set above it
+        closed = sorted({full} | {rng.randrange(full + 1) for _ in range(size)})
+        idempotent = [
+            m if m in closed else rng.choice([v for v in closed if m & ~v == 0])
+            for m in range(full + 1)
+        ]
+        return [
+            sat,
+            bumped,
+            idempotent,
+            list(closure.table),
+            [m | rng.randrange(full + 1) for m in range(full + 1)],
+            [rng.randrange(full + 1) for _ in range(full + 1)],
+        ]
+
+    def test_idempotent_table_with_one_failing_edge_rejected(self):
+        # {a} goes to {a, c} and {a, b} to itself: only the edge from {a}
+        # up to {a, b} fails, and it removes b, the highest bit of {a, b}
+        base = BaseSet(["a", "b", "c"])
+        table = dict(enumerate([0b000, 0b101, 0b010, 0b011, 0b100, 0b101, 0b110, 0b111]))
+        message = "table violates transitivity: ['a'] is covered by ['a', 'b'] but its cover set is not"
+        assert table_outcome(cover_from_table, base, table) == message
+        assert table_outcome(cover_from_table_full, base, table) == message
+
+    @given(st.integers(0, 10_000), st.integers(0, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_accepts_and_rejects_as_pair_scan(self, seed, size):
+        rng = random.Random(seed)
+        base = default_base(size)
+        for values in self.candidate_tables(rng, size):
+            rows = list(enumerate(values))
+            rng.shuffle(rows)  # the messages follow row order
+            table = dict(rows)
+            assert table_outcome(cover_from_table, base, table) == table_outcome(
+                cover_from_table_full, base, table
+            )
 
 
 class TestCaps:

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covlat import (
     BaseMismatchError,
@@ -8,6 +12,12 @@ from covlat import (
     induced_cover,
     lattice,
     p_star,
+)
+from covlat.oracle import (
+    default_base,
+    random_cover,
+    subobject_hasse_edges_full,
+    sublocale_verify_full,
 )
 
 
@@ -34,6 +44,58 @@ class TestSublocaleFamily:
     def test_full_carrier_gives_whole_powerset(self, free2):
         fam = p_star(free2.base.full())
         assert len(fam) == 4
+
+
+def tampered(fam, masks):
+    """The family of `fam`'s carrier with the given members instead."""
+    base = fam.carrier.base
+    fam.sets = tuple(base.subset_from_mask(m) for m in masks)
+    fam._masks = frozenset(masks)
+    return fam
+
+
+class TestSublocaleFamilyCut:
+    """`SublocaleFamily.verify` (the up-set test) against the scan over
+    pairs of members."""
+
+    def families(self, rng, size):
+        base = default_base(size)
+        t = base.subset_from_mask(rng.randrange(1 << size))
+        masks = [u.mask for u in p_star(t)]
+        dropped = list(masks)
+        del dropped[rng.randrange(len(dropped))]
+        extra = sorted(set(masks) | {rng.randrange(1 << size)})
+        arbitrary = sorted({rng.randrange(1 << size) for _ in range(rng.randint(1, 1 << size))})
+        return [
+            p_star(t),
+            tampered(p_star(t), dropped),
+            tampered(p_star(t), extra),
+            tampered(p_star(t), arbitrary),
+            tampered(p_star(t), masks[1:] + [(1 << size) - 1]),
+        ]
+
+    @given(st.integers(0, 10_000), st.integers(0, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_verdicts_match_pair_scan(self, seed, size):
+        rng = random.Random(seed)
+        for fam in self.families(rng, size):
+            fast, slow = fam.verify(), sublocale_verify_full(fam)
+            assert fast.passed == slow.passed
+            assert fast.witness == slow.witness
+            assert fast.checked == (len(fam) if fast.passed else slow.checked)
+
+    def test_passing_verdict_counts_members(self, m3_cover):
+        fam = p_star(m3_cover.base.subset(["a", "b"]))
+        assert fam.verify().checked == len(fam) == 4
+
+    def test_missing_complement_fails_meet_law(self, m3_cover):
+        fam = p_star(m3_cover.base.subset(["a", "b"]))
+        # closed under intersection, but the complement {c} is missing
+        v = tampered(fam, [0b101, 0b111]).verify()
+        assert not v.passed
+        assert v.witness["law"] == "meet"
+        assert v.witness["got"].sorted_members() == ["a", "c"]
+        assert v.checked == 4
 
 
 class TestInducedCover:
@@ -82,6 +144,13 @@ class TestSubobjectLattice:
         for lo, hi in edges:
             diff = hi.carrier.mask & ~lo.carrier.mask
             assert diff and diff & (diff - 1) == 0
+
+    @pytest.mark.parametrize("size", range(7))
+    def test_hasse_edges_match_pair_scan(self, size):
+        lat = lattice(random_cover(random.Random(size), size))
+        edges = lat.hasse_edges()
+        assert edges == subobject_hasse_edges_full(lat)
+        assert len(edges) == size << size >> 1
 
     def test_subobject_equality_and_complement(self, chain2):
         a = Subobject(chain2, chain2.base.subset(["a"]))

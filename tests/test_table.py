@@ -1,7 +1,10 @@
 """The operator-table core shared by closure and interior tables: the
-complement conjugation and the coreflection derived through it."""
+complement conjugation, the coreflection derived through it, and the
+structural axiom check and reflection against their full scans."""
 
 import random
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +12,16 @@ from hypothesis import strategies as st
 from covlat import (
     ClosureTable,
     InteriorTable,
+    BaseSet,
+    Cover,
     coreflection,
+    discrete_closure,
+    discrete_interior,
     join_interiors,
     meet_closures,
     reflection,
+    trivial_closure,
+    trivial_interior,
     verify_closure_axioms,
     verify_interior_axioms,
 )
@@ -21,8 +30,11 @@ from covlat.oracle import (
     random_closure_table,
     random_cover,
     random_interior_table,
+    reflect_full,
+    saturation_table_full,
+    scan_axioms_full,
 )
-from covlat.table import conjugate
+from covlat.table import conjugate, reflect, scan_axioms
 
 
 def _any_table(rng, cover, cls):
@@ -77,3 +89,97 @@ def test_conjugation_swaps_join_and_meet_and_reflections(seed, size):
     i, j = random_interior_table(rng, cover), random_interior_table(rng, cover)
     assert conjugate(join_interiors([i, j])) == meet_closures([conjugate(i), conjugate(j)])
     assert conjugate(coreflection(i)) == reflection(conjugate(i))
+
+
+# -- the structural axiom check and reflection against the full scans --------
+
+
+def candidate_tables(rng, cover):
+    """Tables of both kinds that pass and fail the axioms in every way:
+    valid, unmonotonized, discrete, trivial, saturation tables of random
+    covers with their conjugates, and the perturbed ones of `_any_table`."""
+    size = 1 << len(cover.base)
+    full = size - 1
+    sat = ClosureTable(cover, saturation_table_full(random_cover(rng, len(cover.base))))
+    return [
+        random_closure_table(rng, cover),
+        random_interior_table(rng, cover),
+        ClosureTable(cover, [m | rng.randrange(size) for m in range(size)]),
+        InteriorTable(cover, [m & rng.randrange(size) for m in range(size)]),
+        ClosureTable(cover, [0] + [m | rng.randrange(size) for m in range(1, size)]),
+        InteriorTable(cover, [m & rng.randrange(size) for m in range(full)] + [full]),
+        discrete_closure(cover),
+        trivial_closure(cover),
+        discrete_interior(cover),
+        trivial_interior(cover),
+        sat,
+        conjugate(sat),
+        _any_table(rng, cover, ClosureTable),
+        _any_table(rng, cover, InteriorTable),
+    ]
+
+
+def axiom_scans(t):
+    """The verdicts of the structural check and of the full scan."""
+    if t.kind == "closure":
+        args = ("C", True, 0)
+    else:
+        args = ("I", False, len(t.table) - 1)
+    return scan_axioms(t, *args), scan_axioms_full(t, *args)
+
+
+def assert_same_axiom_verdict(t):
+    fast, slow = axiom_scans(t)
+    assert fast.passed == slow.passed
+    assert fast.witness == slow.witness
+    if fast.passed:
+        n = len(t.parent.base)
+        assert fast.checked == (1 << n) + n * (1 << n) // 2 + 1
+    else:
+        assert fast.checked == slow.checked
+
+
+@given(st.integers(0, 10_000), st.integers(0, 5))
+@settings(max_examples=80, deadline=None)
+def test_axiom_check_matches_full_scan(seed, size):
+    rng = random.Random(seed)
+    cover = random_cover(rng, size)
+    for t in candidate_tables(rng, cover):
+        assert_same_axiom_verdict(t)
+
+
+@given(st.integers(0, 10_000), st.integers(0, 5))
+@settings(max_examples=60, deadline=None)
+def test_reflect_matches_full_scan(seed, size):
+    rng = random.Random(seed)
+    cover = random_cover(rng, size)
+    for t in candidate_tables(rng, cover):
+        assert reflect(t) == reflect_full(t)
+
+
+def late_edge_closure():
+    """A closure table whose first failing one-bit edge, ({b}, {a, b}), is
+    not the least failing submask pair, ({}, {a, b}): the one-bit edges
+    below {a, b} all hold."""
+    cover = Cover(BaseSet(["a", "b", "c"]))
+    return ClosureTable(cover, [0b100, 0b101, 0b110, 0b011, 0b100, 0b101, 0b110, 0b111])
+
+
+@pytest.mark.parametrize("conjugated", [False, True], ids=["closure", "interior"])
+def test_failure_reports_least_submask_pair_not_first_edge(conjugated):
+    c = late_edge_closure()
+    t = conjugate(c) if conjugated else c
+    assert_same_axiom_verdict(t)
+    if not conjugated:
+        v = verify_closure_axioms(t)
+        assert v.witness["axiom"] == "C2"
+        assert v.witness["smaller"].sorted_members() == []
+        assert v.witness["larger"].sorted_members() == ["a", "b"]
+        # 8 extension cases, then the submasks of 0, 1 and 2, then {} of 3
+        assert v.checked == 8 + 1 + 2 + 2 + 1
+
+
+def test_passing_check_counts_one_bit_edges():
+    cover = Cover(BaseSet(["a", "b", "c"]))
+    assert verify_closure_axioms(trivial_closure(cover)).checked == 8 + 12 + 1
+    assert verify_interior_axioms(trivial_interior(cover)).checked == 8 + 12 + 1
