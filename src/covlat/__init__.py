@@ -88,7 +88,6 @@ from .morphism import (
     terminal_cover,
     terminal_morphism,
 )
-from .oracle import Certificate, EnumerationBudget, default_certificates
 from .sets import BaseSet, Subset
 from .subobject import (
     Subobject,
@@ -102,4 +101,17 @@ from .verdict import Verdict
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The oracle and its names load on first use (PEP 562), so importing
+# covlat, or covlat.cli, does not pay for covlat.oracle.
+_ORACLE_NAMES = ("Certificate", "EnumerationBudget", "default_certificates")
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + [*_ORACLE_NAMES, "oracle"])
+
+
+def __getattr__(name):
+    if name == "oracle" or name in _ORACLE_NAMES:
+        from importlib import import_module
+
+        oracle = import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -30,7 +30,6 @@ from .morphism import (  # noqa: F401 - perfbench/selftest.py reads cli.respects
     compose,
     respects_covers,
 )
-from .oracle import EnumerationBudget, default_certificates
 from .verdict import _jsonify
 
 
@@ -39,7 +38,8 @@ def _say(msg: str) -> None:
 
 
 def _emit(report) -> None:
-    print(dump_json(_jsonify(report)))
+    """Print a report that is already JSON-native (witnesses converted by ``to_json``)."""
+    print(dump_json(report))
 
 
 def dot_diagram(nodes, edges) -> str:
@@ -230,6 +230,8 @@ def cmd_certify(args) -> int:
         raise InputError(f"--samples must be at least 1, got {args.samples}")
     if args.max_cover_size < 0:
         raise InputError(f"--max-cover-size must be at least 0, got {args.max_cover_size}")
+    from .oracle import EnumerationBudget, default_certificates  # only certify needs the oracle
+
     budget = EnumerationBudget(
         max_cover_size=args.max_cover_size,
         samples=args.samples,

@@ -602,29 +602,40 @@ def cover_from_table(base: BaseSet, table: dict[int, int]) -> Cover:
     cover conditions (reflexivity and transitivity); reject otherwise.
 
     A rejection names the first failing subset, or pair of subsets, in
-    the table's row order, as ``oracle.cover_from_table_full`` does.
+    the table's row order, as ``oracle.cover_from_table_full`` does, in
+    O(n * 2^n) steps where the twin takes 4^n.
     """
     n = len(base)
     if set(table) != set(range(1 << n)):
         raise InputError("relation table must list every subset of the base exactly once")
     for mask, sat in table.items():
+        if sat >> n:
+            raise InputError(f"table value {sat:#x} is not a subset of the base")
         if mask & ~sat:
             raise InputError(
                 f"table violates reflexivity at "
                 f"{base.subset_from_mask(mask).sorted_members()}"
             )
-    # Given reflexivity, transitivity (v covering u implies v covering u's
-    # cover set) holds exactly when the table is monotone and idempotent;
-    # monotonicity is checked on one-bit edges.
-    monotone = all(
-        table[m ^ 1 << b] & ~sat == 0
-        for m, sat in table.items()
-        for b in range(n)
-        if m >> b & 1
-    )
-    if not monotone or any(table.get(sat) != sat for sat in table.values()):
-        # the pair scan, in row order, names the failing pair
-        from .oracle import cover_from_table_full
-
-        return cover_from_table_full(base, table)
+    # Transitivity: whenever v covers u (u inside v's cover set), v also
+    # covers u's cover set. So u's cover set must lie in meet[u], the
+    # intersection of every cover set that contains u: a superset transform
+    # over the table's values.
+    full = (1 << n) - 1
+    meet = [full] * (full + 1)
+    for sat in table.values():
+        meet[sat] = sat
+    for b in range(n):
+        bit = 1 << b
+        for w in range(full + 1):
+            if not w & bit:
+                meet[w] &= meet[w | bit]
+    for u, sat_u in table.items():
+        if sat_u & ~meet[u]:
+            # the first failing row; name its first failing pair in row order
+            v = next(v for v, sat_v in table.items() if u & ~sat_v == 0 and sat_u & ~sat_v)
+            raise InputError(
+                f"table violates transitivity: "
+                f"{base.subset_from_mask(u).sorted_members()} is covered by "
+                f"{base.subset_from_mask(v).sorted_members()} but its cover set is not"
+            )
     return Cover(base, saturation_fn=table.__getitem__)

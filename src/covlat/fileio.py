@@ -58,8 +58,8 @@ def _mask_table(data, base: BaseSet, where: str, shape: str) -> dict[int, int]:
         if not (isinstance(row, list) and len(row) == 2):
             raise InputError(f"{where}: table rows must be {shape} pairs")
         try:
-            key = base.subset(row[0]).mask
-            value = base.subset(row[1]).mask
+            key = base.mask_of(row[0])
+            value = base.mask_of(row[1])
         except Exception as exc:
             raise InputError(f"{where}: {exc}") from exc
         if key in table:
@@ -183,11 +183,8 @@ class Workspace:
 
 
 def operator_to_json(table, cover_ref: str) -> dict:
-    base = table.parent.base
-    rows = [
-        [base.subset_from_mask(m).sorted_members(), base.subset_from_mask(out).sorted_members()]
-        for m, out in enumerate(table.table)
-    ]
+    names = table.parent.base.sorted_member_table()
+    rows = [[names[m], names[out]] for m, out in enumerate(table.table)]
     return {"cover": cover_ref, "kind": table.kind, "table": rows}
 
 

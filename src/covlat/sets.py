@@ -67,11 +67,19 @@ class BaseSet:
 
     # -- subset construction -------------------------------------------------
 
-    def subset(self, members: Iterable[str] = ()) -> Subset:
+    def mask_of(self, names: Iterable[str]) -> int:
+        """The mask of the named members; an unknown name raises as in :meth:`index`."""
+        index = self._index
         mask = 0
-        for name in members:
-            mask |= 1 << self.index(name)
-        return Subset(self, mask)
+        for name in names:
+            try:
+                mask |= 1 << index[name]
+            except (KeyError, TypeError):
+                self.index(name)  # raises BaseMismatchError for this name
+        return mask
+
+    def subset(self, members: Iterable[str] = ()) -> Subset:
+        return Subset(self, self.mask_of(members))
 
     def subset_from_mask(self, mask: int) -> Subset:
         if mask < 0 or mask >> len(self._elements):
@@ -86,6 +94,19 @@ class BaseSet:
 
     def singleton(self, name: str) -> Subset:
         return Subset(self, 1 << self.index(name))
+
+    def sorted_member_table(self) -> list[list[str]]:
+        """``subset_from_mask(m).sorted_members()`` for every mask ``m``, by mask."""
+        names = sorted(self._elements)
+        by_rank = [[]]  # indexed by masks over sorted positions
+        for name in names:
+            by_rank += [members + [name] for members in by_rank]
+        rank = {name: i for i, name in enumerate(names)}
+        rank_masks = [0]  # each mask of this base, as a mask over sorted positions
+        for e in self._elements:
+            bit = 1 << rank[e]
+            rank_masks += [r | bit for r in rank_masks]
+        return [by_rank[r] for r in rank_masks]
 
     def all_subsets(self) -> Iterator[Subset]:
         """All subsets in increasing mask order (the canonical witness order)."""

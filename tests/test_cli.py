@@ -34,6 +34,17 @@ class TestLauncher:
         assert child_file == os.path.abspath(covlat.__file__)
         assert child_cap == "None"
 
+    def test_cli_import_leaves_oracle_unloaded(self):
+        code = (
+            "import sys, covlat.cli; print('covlat.oracle' in sys.modules); "
+            "import covlat; print(covlat.EnumerationBudget.__module__)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=DATA, env=cli_env(), capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False", "covlat.oracle"]
+
 
 class TestGoldenFiles:
     @pytest.mark.parametrize(
@@ -66,6 +77,34 @@ class TestGoldenFiles:
         proc = run_cli("frame", "chain.json", "--dot", str(out))
         assert proc.returncode == 0
         assert out.read_text() == golden("frame_chain.dot")
+
+    @pytest.mark.parametrize(
+        "args,expected_exit,golden_name",
+        [
+            (["reflect", "trivial_closure_free2.json"], 0, "operator_reflect_trivial_closure_free2.json"),
+            (
+                ["join", "trivial_closure_free2.json", "trivial_closure_free2.json"],
+                0,
+                "operator_join_trivial_closure_free2.json",
+            ),
+            (
+                ["initial", "id2.json", "trivial_closure_free2.json"],
+                0,
+                "operator_initial_id2_trivial_closure_free2.json",
+            ),
+            (
+                ["initial", "collapse.json", "discrete_interior_one.json", "--kind", "interior",
+                 "--initial-mode", "paper"],
+                1,
+                "operator_initial_paper_collapse_discrete_interior_one.json",
+            ),
+        ],
+        ids=["reflect", "join", "initial-closure", "initial-paper-interior"],
+    )
+    def test_operator(self, args, expected_exit, golden_name):
+        proc = run_cli("operator", *args)
+        assert proc.returncode == expected_exit
+        assert proc.stdout == golden(golden_name)
 
     def test_m3_witness_is_printed(self):
         proc = run_cli("check", "m3.json")
@@ -166,6 +205,42 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == f"error: {where} listed twice\n"
+
+    # A bad row in either table file: the one-line message is part of the
+    # contract (a list as a carrier name is pinned above).
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ([["z"], ["a"]], "element 'z' is not in this base"),
+            ([["a"], ["z"]], "element 'z' is not in this base"),
+            ([["a"], [["b"]]], "element ['b'] is not in this base"),
+            ([[1], []], "element 1 is not in this base"),
+            ([5, []], "'int' object is not iterable"),
+            ("a", "table rows must be {shape} pairs"),
+        ],
+        ids=["unknown-carrier", "unknown-image", "list-image", "int-name", "int-carrier",
+             "string-row"],
+    )
+    @pytest.mark.parametrize(
+        "args,kind,shape",
+        [
+            (["operator", "verify", "t.json"], "operator", "[carrier, image]"),
+            (["check", "t.json"], "instance", "[subset, cover-set]"),
+        ],
+        ids=["operator-table", "instance-table"],
+    )
+    def test_bad_table_row_message(self, tmp_path, row, message, args, kind, shape):
+        rows = [[[], []], row]
+        if kind == "operator":
+            (tmp_path / "cover.json").write_text(json.dumps({"base": ["a", "b"], "axioms": []}))
+            data = {"cover": "cover.json", "table": rows}
+        else:
+            data = {"base": ["a", "b"], "table": rows}
+        (tmp_path / "t.json").write_text(json.dumps(data))
+        proc = run_cli(*args, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: t.json: {message.format(shape=shape)}\n"
 
     def test_cap_exceeded_is_three(self):
         big = {"base": [f"e{i}" for i in range(12)], "axioms": []}

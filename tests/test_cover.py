@@ -369,6 +369,10 @@ class TestRelationTable:
         with pytest.raises(InputError):
             cover_from_table(base, {0: 1, 1: 3, 2: 2, 3: 3})
 
+    def test_value_outside_base_rejected(self):
+        with pytest.raises(InputError, match=r"^table value 0x3 is not a subset of the base$"):
+            cover_from_table(BaseSet(["a"]), {0: 0, 1: 3})
+
     def test_partial_table_rejected(self):
         base = BaseSet(["a", "b"])
         with pytest.raises(InputError):
@@ -425,6 +429,18 @@ class TestRelationTableCut:
         message = "table violates transitivity: ['a'] is covered by ['a', 'b'] but its cover set is not"
         assert table_outcome(cover_from_table, base, table) == message
         assert table_outcome(cover_from_table_full, base, table) == message
+
+    def test_late_failing_row_rejected_as_pair_scan(self):
+        # the identity table at n=10 with one bad row, which comes late in
+        # row order: the complement of {e0, e1} goes to the complement of {e1}
+        size = 10
+        base = BaseSet([f"e{i}" for i in range(size)])
+        full = (1 << size) - 1
+        table = {m: m for m in range(full + 1)}
+        table[full & ~0b11] = full & ~0b10
+        message = table_outcome(cover_from_table, base, table)
+        assert message == table_outcome(cover_from_table_full, base, table)
+        assert message.startswith("table violates transitivity: ['e2',")
 
     @given(st.integers(0, 10_000), st.integers(0, 5))
     @settings(max_examples=80, deadline=None)

@@ -1,0 +1,57 @@
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from covlat import BaseMismatchError, BaseSet
+
+# Names whose sorted order differs from any natural base order: mixed case,
+# digits, prefixes of one another, and non-ASCII letters that sort after "z".
+NAMES = ["b", "a", "B", "ab", "a1", "é", "z", "ß", "Ω", "x", "日", "10", "2", "aa", "Ä", "ñ"]
+
+
+def shuffled_base(seed, size):
+    rng = random.Random(seed)
+    return BaseSet(rng.sample(NAMES, size)), rng
+
+
+class TestMaskOf:
+    @given(st.integers(0, 10_000), st.integers(0, 8))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_subset(self, seed, size):
+        base, rng = shuffled_base(seed, size)
+        for _ in range(10):
+            names = [rng.choice(base.elements) for _ in range(rng.randint(0, 2 * size))] if size else []
+            assert base.mask_of(names) == base.subset(names).mask
+
+    @pytest.mark.parametrize("bad", ["q", ["a"], 1, None])
+    def test_unknown_name_raises_as_index(self, bad):
+        base = BaseSet(["b", "a"])
+        with pytest.raises(BaseMismatchError) as via_index:
+            base.index(bad)
+        with pytest.raises(BaseMismatchError) as via_mask:
+            base.mask_of(["a", bad])
+        assert str(via_mask.value) == str(via_index.value) == f"element {bad!r} is not in this base"
+
+    def test_non_iterable_raises_type_error(self):
+        with pytest.raises(TypeError, match="'int' object is not iterable"):
+            BaseSet(["a"]).mask_of(5)
+
+
+class TestSortedMemberTable:
+    @given(st.integers(0, 10_000), st.integers(0, 9))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_sorted_members(self, seed, size):
+        base, _ = shuffled_base(seed, size)
+        table = base.sorted_member_table()
+        assert len(table) == 1 << size
+        for m, members in enumerate(table):
+            assert members == base.subset_from_mask(m).sorted_members()
+
+    def test_base_order_is_not_sorted_order(self):
+        base = BaseSet(["日", "b", "é", "a"])
+        table = base.sorted_member_table()
+        assert table[0b0000] == []
+        assert table[0b0101] == ["é", "日"]
+        assert table[0b1111] == ["a", "b", "é", "日"]
