@@ -22,7 +22,7 @@ from .errors import (
     MorphismValidationError,
     UpperBoundFailureError,
 )
-from .fileio import Workspace, dump_json, load_instance, operator_to_json
+from .fileio import Workspace, dump_fields, dump_json, load_instance, operator_text, table_text
 from .morphism import (  # noqa: F401 - perfbench/selftest.py reads cli.respects_covers
     Relation,
     ValidatedMorphism,
@@ -169,7 +169,7 @@ def cmd_operator(args) -> int:
             out = (it.join_interiors if args.action == "join" else it.meet_interiors)([t1, t2])
         else:
             out = (cl.join_closures if args.action == "join" else cl.meet_closures)([t1, t2])
-        _emit(operator_to_json(out, cover_ref="<combined>"))
+        print(operator_text(out, "<combined>"))
         return 0
 
     if args.action == "initial":
@@ -179,21 +179,21 @@ def cmd_operator(args) -> int:
         if table.kind == "interior":
             if args.initial_mode == "paper":
                 candidate, verdict = it.initial_interior_paper(m, table)
-                report = {
-                    "mode": "paper",
-                    "verdict": verdict.to_json(),
-                    "table": operator_to_json(candidate, "<initial>")["table"],
-                    "pass": verdict.passed,
-                }
+                report = [
+                    ("mode", dump_json("paper")),
+                    ("verdict", dump_json(verdict.to_json())),
+                    ("table", table_text(candidate)),
+                    ("pass", dump_json(verdict.passed)),
+                ]
                 if not verdict.passed:
                     w = verdict.witness
                     _say(f"{w['axiom']} violated, witness {_jsonify(w.get('carrier', w.get('smaller')))}")
-                _emit(report)
+                print(dump_fields(report))
                 return 0 if verdict.passed else 1
             result = it.initial_interior_corrected(m, table)
         else:
             result = cl.initial_closure(m, table)
-        _emit(operator_to_json(result, cover_ref="<initial>"))
+        print(operator_text(result, "<initial>"))
         return 0
 
     if args.action in ("reflect", "coreflect"):
@@ -206,7 +206,7 @@ def cmd_operator(args) -> int:
             if table.kind != "interior":
                 raise InputError("coreflect expects an interior table")
             out = it.coreflection(table)
-        _emit(operator_to_json(out, cover_ref="<derived>"))
+        print(operator_text(out, "<derived>"))
         return 0
 
     if args.action == "continuity":

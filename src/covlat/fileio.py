@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+from json.encoder import encode_basestring
 
 from .cover import ConcreteSpace, Cover, cover_from_table
 from .errors import InputError
@@ -186,6 +187,48 @@ def operator_to_json(table, cover_ref: str) -> dict:
     names = table.parent.base.sorted_member_table()
     rows = [[names[m], names[out]] for m, out in enumerate(table.table)]
     return {"cover": cover_ref, "kind": table.kind, "table": rows}
+
+
+def table_text(table) -> str:
+    """``json.dumps(operator_to_json(table, ...)["table"], indent=2,
+    ensure_ascii=False)``, written from one fragment per subset.
+
+    A fragment is a subset's sorted member list as it stands on a row side,
+    already indented; each name is encoded once, by the function
+    ``json.dumps`` itself calls, so a row is one concatenation.
+    """
+    base = table.parent.base
+    items = {name: ",\n      " + encode_basestring(name) for name in base.elements}
+    bodies = base.by_sorted_members("", lambda body, name: body + items[name])
+    sides = ["[" + body[1:] + "\n    ]" if body else "[]" for body in bodies]
+    rows = [
+        "[\n    " + sides[m] + ",\n    " + sides[out] + "\n  ]"
+        for m, out in enumerate(table.table)
+    ]
+    return "[\n  " + ",\n  ".join(rows) + "\n]"
+
+
+def dump_fields(fields) -> str:
+    """``dump_json`` of an object given as ``(key, value text)`` pairs, each
+    value already JSON text at depth 0.
+
+    A value is indented one level by prefixing each of its lines, which is
+    exact because an encoded JSON string never holds a raw newline.
+    """
+    return "{\n" + ",\n".join(
+        "  " + encode_basestring(key) + ": " + text.replace("\n", "\n  ") for key, text in fields
+    ) + "\n}"
+
+
+def operator_text(table, cover_ref: str) -> str:
+    """``dump_json(operator_to_json(table, cover_ref))``, without walking the rows."""
+    return dump_fields(
+        [
+            ("cover", encode_basestring(cover_ref)),
+            ("kind", encode_basestring(table.kind)),
+            ("table", table_text(table)),
+        ]
+    )
 
 
 def dump_json(data, path: str | None = None) -> str:

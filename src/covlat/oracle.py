@@ -380,6 +380,8 @@ def cover_from_table_full(base: BaseSet, table: dict[int, int]) -> Cover:
     if set(table) != set(range(1 << n)):
         raise InputError("relation table must list every subset of the base exactly once")
     for mask, sat in table.items():
+        if sat >> n:
+            raise InputError(f"table value {sat:#x} is not a subset of the base")
         if mask & ~sat:
             raise InputError(
                 f"table violates reflexivity at "

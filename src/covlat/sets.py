@@ -97,10 +97,20 @@ class BaseSet:
 
     def sorted_member_table(self) -> list[list[str]]:
         """``subset_from_mask(m).sorted_members()`` for every mask ``m``, by mask."""
+        return self.by_sorted_members([], lambda members, name: members + [name])
+
+    def by_sorted_members(self, empty, add) -> list:
+        """For every mask m, by mask: ``empty`` extended by ``add(value, name)``
+        once per member name of m, in sorted order.
+
+        Built once per call by doubling over sorted positions, so ``add``
+        runs 2^n times in all, and then read through each mask's image as
+        a mask over sorted positions.
+        """
         names = sorted(self._elements)
-        by_rank = [[]]  # indexed by masks over sorted positions
+        by_rank = [empty]  # indexed by masks over sorted positions
         for name in names:
-            by_rank += [members + [name] for members in by_rank]
+            by_rank += [add(value, name) for value in by_rank]
         rank = {name: i for i, name in enumerate(names)}
         rank_masks = [0]  # each mask of this base, as a mask over sorted positions
         for e in self._elements:

@@ -98,8 +98,23 @@ class TestGoldenFiles:
                 1,
                 "operator_initial_paper_collapse_discrete_interior_one.json",
             ),
+            # a base whose order is not sorted order: 日, b, é, a
+            (["reflect", "closure_unsorted4.json"], 0, "operator_reflect_closure_unsorted4.json"),
+            (
+                ["initial", "unsorted4_to_free2.json", "discrete_interior_free2.json", "--kind",
+                 "interior", "--initial-mode", "paper"],
+                1,
+                "operator_initial_paper_unsorted4_to_free2_discrete_interior_free2.json",
+            ),
         ],
-        ids=["reflect", "join", "initial-closure", "initial-paper-interior"],
+        ids=[
+            "reflect",
+            "join",
+            "initial-closure",
+            "initial-paper-interior",
+            "reflect-unsorted-base",
+            "initial-paper-unsorted-base",
+        ],
     )
     def test_operator(self, args, expected_exit, golden_name):
         proc = run_cli("operator", *args)

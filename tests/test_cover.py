@@ -373,6 +373,17 @@ class TestRelationTable:
         with pytest.raises(InputError, match=r"^table value 0x3 is not a subset of the base$"):
             cover_from_table(BaseSet(["a"]), {0: 0, 1: 3})
 
+    @pytest.mark.parametrize("accept", [cover_from_table, cover_from_table_full])
+    def test_value_outside_base_reported_in_row_order(self, accept):
+        base = BaseSet(["a"])
+        with pytest.raises(InputError, match=r"^table value 0x3 is not a subset of the base$"):
+            accept(base, {0: 0, 1: 3})
+        # row {a} breaks reflexivity, row {} leaves the base: the earlier row wins
+        with pytest.raises(InputError, match=r"^table violates reflexivity at \['a'\]$"):
+            accept(base, {1: 0, 0: 2})
+        with pytest.raises(InputError, match=r"^table value 0x2 is not a subset of the base$"):
+            accept(base, {0: 2, 1: 0})
+
     def test_partial_table_rejected(self):
         base = BaseSet(["a", "b"])
         with pytest.raises(InputError):
@@ -412,6 +423,9 @@ class TestRelationTableCut:
             m if m in closed else rng.choice([v for v in closed if m & ~v == 0])
             for m in range(full + 1)
         ]
+        # values outside the base: past the top bit, on one row or on many
+        outside = list(sat)
+        outside[rng.randrange(full + 1)] |= 1 << size + rng.randrange(2)
         return [
             sat,
             bumped,
@@ -419,6 +433,8 @@ class TestRelationTableCut:
             list(closure.table),
             [m | rng.randrange(full + 1) for m in range(full + 1)],
             [rng.randrange(full + 1) for _ in range(full + 1)],
+            outside,
+            [rng.randrange(4 << size) for _ in range(full + 1)],
         ]
 
     def test_idempotent_table_with_one_failing_edge_rejected(self):

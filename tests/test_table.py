@@ -34,7 +34,8 @@ from covlat.oracle import (
     saturation_table_full,
     scan_axioms_full,
 )
-from covlat.table import conjugate, reflect, scan_axioms
+from covlat.sets import popcount
+from covlat.table import _pairs_below, conjugate, reflect, scan_axioms
 
 
 def _any_table(rng, cover, cls):
@@ -183,3 +184,26 @@ def test_passing_check_counts_one_bit_edges():
     cover = Cover(BaseSet(["a", "b", "c"]))
     assert verify_closure_axioms(trivial_closure(cover)).checked == 8 + 12 + 1
     assert verify_interior_axioms(trivial_interior(cover)).checked == 8 + 12 + 1
+
+
+def test_pairs_below_counts_the_submask_pairs_of_smaller_carriers():
+    for larger in range(1 << 10):
+        assert _pairs_below(larger) == sum(1 << popcount(m) for m in range(larger))
+
+
+def late_carrier_closure(n):
+    """t(m) = m + {e0} if e1 is in m, else m; but the carrier without e0 is
+    fixed, so its least failing submask is {e1}, late in mask order."""
+    full = (1 << n) - 1
+    table = [m | 1 if m & 2 else m for m in range(full + 1)]
+    table[full ^ 1] = full ^ 1
+    return ClosureTable(Cover(BaseSet([f"e{i}" for i in range(n)])), table)
+
+
+def test_late_failing_carrier_reports_the_full_scan_count():
+    t = late_carrier_closure(13)
+    assert_same_axiom_verdict(t)
+    v = verify_closure_axioms(t)
+    assert v.witness["smaller"].sorted_members() == ["e1"]
+    assert v.witness["larger"].mask == (1 << 13) - 2
+    assert v.checked == 1_590_229
