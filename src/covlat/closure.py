@@ -119,10 +119,12 @@ def initial_closure(m: ValidatedMorphism, c_tgt: ClosureTable) -> ClosureTable:
     if not c_tgt.parent.same_cover(m.target_cover):
         raise MixedParentError("table does not live on the morphism's target")
     rel = m.relation
-    size = 1 << len(rel.source)
-    for t in range(size):
-        if t & ~rel.preimage_minus_mask(rel.direct_image_mask(t)):
-            raise ExtensionFailureError(rel.source.subset_from_mask(t))
+    if not rel.is_left_total():
+        # a carrier escapes the preimage of its image exactly when it holds
+        # an element related to nothing; the least such carrier is that
+        # element alone
+        x = next(x for x in range(len(rel.source)) if not rel.direct_image_mask(1 << x))
+        raise ExtensionFailureError(rel.source.subset_from_mask(1 << x))
     result = ClosureTable(m.source_cover, pull_back(m, c_tgt, rel.direct_image_mask))
     axioms = verify_closure_axioms(result)
     if not axioms.passed:

@@ -3,10 +3,10 @@
 A cover is presented by generating axioms ``(a, V)``: the relation
 ``a covers U`` is the least one containing the axioms that is reflexive
 and transitive.  Saturation (the set of all elements covering ``U``) is
-computed by a forward-chaining worklist with per-axiom missing-premise
-counters and memoized per subset.  Whole-powerset consumers read one
-saturation table per cover instead, built from saturated sets plus one
-element.
+computed by one forward-chaining worklist over per-element watcher
+lists, memoized per subset.  Whole-powerset consumers read one
+saturation table per cover instead, built by the same worklist from
+saturated sets plus one element.
 
 Also here: ingestion of concrete topological spaces (points, observables
 and a forcing relation), covers induced by finite suplattices, and
@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 
 from .caps import cap_for, require_cap
 from .errors import BaseMismatchError, InputError
-from .sets import BaseSet, Subset, popcount
+from .sets import BaseSet, Subset, meets_above
 from .verdict import Verdict
 
 
@@ -88,7 +88,11 @@ class Cover:
             # the axioms whose premise mentions it.
             self._compiled = self.axioms.pairs
             watchers: list[list[int]] = [[] for _ in range(len(base))]
-            for ax_id, (_, prem) in enumerate(self._compiled):
+            # heads of the empty-premise axioms: in every saturated set
+            self._facts = 0
+            for ax_id, (head, prem) in enumerate(self._compiled):
+                if not prem:
+                    self._facts |= 1 << head
                 m = prem
                 while m:
                     low = m & -m
@@ -121,48 +125,32 @@ class Cover:
         if self._saturation_fn is not None:
             result = self._saturation_fn(mask)
         else:
-            result = self._forward_chain(mask)
+            result = self._chain(0, mask | self._facts)
         self._cache[mask] = result
         return result
 
-    def _forward_chain(self, mask: int) -> int:
-        result = mask
-        compiled = self._compiled
-        missing = []
-        queue = []
-        for head, prem in compiled:
-            # gaps count against the input mask only; heads added below are
-            # enqueued and decrement the counters themselves
-            gap = popcount(prem & ~mask)
-            missing.append(gap)
-            if gap == 0 and not result >> head & 1:
-                result |= 1 << head
-                queue.append(head)
-        while queue:
-            elem = queue.pop()
-            for ax_id in self._watchers[elem]:
-                missing[ax_id] -= 1
-                if missing[ax_id] == 0:
-                    head = compiled[ax_id][0]
-                    if not result >> head & 1:
-                        result |= 1 << head
-                        queue.append(head)
-        return result
+    def _chain(self, s: int, added: int) -> int:
+        """sat(s + added), where every axiom whose premise lies in s has
+        its head in s + added: s saturated, or s = 0 with the heads of the
+        empty-premise axioms in ``added``.
 
-    def _add_element(self, s: int, low: int) -> int:
-        """sat(s + x) for a saturated s and the one-bit mask ``low`` of x.
-
-        Every axiom whose premise lies in s already has its head in s, so
-        only axioms watching an added element can fire.  Elements enter
-        ``result`` as they are queued, so when the last-added element of a
-        premise is popped the whole premise is in and the axiom fires.
+        Only axioms watching an added element or a later head can then
+        fire.  Elements enter ``result`` as they are queued, so when the
+        last-added element of a premise is popped the whole premise is in
+        and the axiom fires.  On a function-backed cover this is one
+        ``saturate_mask`` call.
         """
         if self._saturation_fn is not None:
-            return self.saturate_mask(s | low)
+            return self.saturate_mask(s | added)
         compiled = self._compiled
         watchers = self._watchers
-        result = s | low
-        queue = [low.bit_length() - 1]
+        result = s | added
+        added &= ~self._inert  # an element in no premise fires nothing
+        queue = []
+        while added:
+            low = added & -added
+            queue.append(low.bit_length() - 1)
+            added ^= low
         while queue:
             for ax_id in watchers[queue.pop()]:
                 head, prem = compiled[ax_id]
@@ -184,7 +172,7 @@ class Cover:
         if self._table is None:
             n = len(self.base)
             require_cap("saturation_table", n, "single")
-            add = self._add_element
+            add = self._chain
             inert = self._inert
             table = [self.saturate_mask(0)]
             for v in range(1, 1 << n):
@@ -429,24 +417,6 @@ class ConcreteSpace:
         self.forcing = frozenset(pairs)
         self._ext = ext
 
-    def ext_mask(self, a: str) -> int:
-        return self._ext[self.base.index(a)]
-
-    def ext_of_subset(self, u: Subset) -> int:
-        if u.base != self.base:
-            raise BaseMismatchError("subset belongs to a different base")
-        out = 0
-        m = u.mask
-        while m:
-            low = m & -m
-            out |= self._ext[low.bit_length() - 1]
-            m ^= low
-        return out
-
-    def ext_points(self, a: str) -> tuple[str, ...]:
-        mask = self.ext_mask(a)
-        return tuple(p for i, p in enumerate(self.points) if mask >> i & 1)
-
     def check_b1(self) -> Verdict:
         """Every point must force at least one observable."""
         forced = 0
@@ -618,17 +588,8 @@ def cover_from_table(base: BaseSet, table: dict[int, int]) -> Cover:
             )
     # Transitivity: whenever v covers u (u inside v's cover set), v also
     # covers u's cover set. So u's cover set must lie in meet[u], the
-    # intersection of every cover set that contains u: a superset transform
-    # over the table's values.
-    full = (1 << n) - 1
-    meet = [full] * (full + 1)
-    for sat in table.values():
-        meet[sat] = sat
-    for b in range(n):
-        bit = 1 << b
-        for w in range(full + 1):
-            if not w & bit:
-                meet[w] &= meet[w | bit]
+    # intersection of every cover set that contains u.
+    meet = meets_above(table.values(), n)
     for u, sat_u in table.items():
         if sat_u & ~meet[u]:
             # the first failing row; name its first failing pair in row order

@@ -105,13 +105,12 @@ def initial_interior_paper(
 
 
 def corestriction_mask(m: ValidatedMorphism, t_mask: int) -> int:
-    """Target elements whose whole preimage lies inside the given carrier."""
+    """Target elements whose whole preimage lies inside the given carrier:
+    those outside the image of the rest of the source."""
     rel = m.relation
-    out = 0
-    for w in range(len(rel.target)):
-        if rel._preimage[w] & ~t_mask == 0:
-            out |= 1 << w
-    return out
+    full_src = (1 << len(rel.source)) - 1
+    full_tgt = (1 << len(rel.target)) - 1
+    return full_tgt & ~rel.direct_image_mask(full_src & ~t_mask)
 
 
 def initial_interior_corrected(

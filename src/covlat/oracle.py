@@ -245,13 +245,13 @@ def all_relations(source: BaseSet, target: BaseSet):
 
 
 def saturation_table_full(cover: Cover) -> list[int]:
-    """One saturation per subset, on a fresh copy of the cover so that no
-    cached result of the fast path is read back; the reference for
-    ``Cover.saturation_table``."""
+    """One saturation per subset, by naive iteration on an axiom cover and
+    by the cover's own function otherwise, so that neither the worklist
+    nor its cache is used; the reference for ``Cover.saturation_table``."""
     n = len(cover.base)
     require_cap("saturation_table_full", n, "single")
-    fresh = Cover(cover.base, cover.axioms, cover._saturation_fn)
-    return [fresh.saturate_mask(m) for m in range(1 << n)]
+    sat = cover._saturation_fn or (lambda m: naive_saturate(cover.axioms, m))
+    return [sat(m) for m in range(1 << n)]
 
 
 def is_convergent_full(cover: Cover) -> Verdict:
@@ -323,7 +323,7 @@ def respects_covers_every_cover(r: Relation, c1: Cover, c2: Cover) -> Verdict:
 
 
 # -- scans behind the structural table and family checks ---------------------
-# -- (the fast paths re-run these on failure, for their witnesses) ----------
+# -- (``SublocaleFamily.verify`` re-runs its scan on failure, for the witness) -
 
 
 def scan_axioms_full(t: OperatorTable, label: str, extensive: bool, fixed: int) -> Verdict:

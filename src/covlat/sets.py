@@ -37,10 +37,6 @@ class BaseSet:
     def elements(self) -> tuple[str, ...]:
         return self._elements
 
-    @property
-    def cardinality(self) -> int:
-        return len(self._elements)
-
     def __len__(self) -> int:
         return len(self._elements)
 
@@ -220,3 +216,27 @@ def submasks(mask: int) -> Iterator[int]:
         if sub == mask:
             return
         sub = (sub - mask) & mask
+
+
+def meets_above(marked: Iterable[int], n: int) -> list[int]:
+    """For every mask w over ``n`` bits, by mask: the intersection of the
+    ``marked`` masks that contain w, or the full mask if none does.
+
+    The masks above w are w itself and those above w + b for each bit b
+    outside w, so in descending mask order the entry of w is its own (w
+    if marked, else the full mask) intersected with the entries of those
+    w + b: at most n steps per mask.
+    """
+    full = (1 << n) - 1
+    out = [full] * (full + 1)
+    for v in marked:
+        out[v] = v
+    for w in range(full, -1, -1):
+        acc = out[w]
+        free = full ^ w
+        while free:
+            low = free & -free
+            acc &= out[w | low]
+            free ^= low
+        out[w] = acc
+    return out

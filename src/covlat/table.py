@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 from .cover import Cover
 from .errors import ContinuityPreconditionError, MixedParentError, PartialTableError
 from .morphism import ValidatedMorphism
-from .sets import Subset, submasks
+from .sets import Subset, meets_above, submasks
 from .verdict import Verdict
 
 
@@ -40,14 +40,6 @@ class OperatorTable:
         if set(mapping) != set(range(size)):
             raise PartialTableError("operator table must map every carrier exactly once")
         return cls(parent, (mapping[m] for m in range(size)))
-
-    def apply_mask(self, mask: int) -> int:
-        return self.table[mask]
-
-    def apply(self, t: Subset) -> Subset:
-        return self.parent.base.subset_from_mask(self.table[t.mask])
-
-    __call__ = apply
 
     def __eq__(self, other) -> bool:
         return (
@@ -181,26 +173,12 @@ def fixed_preimages(
 
 
 def reflect(t: OperatorTable) -> OperatorTable:
-    """Send each carrier to the intersection of the fixed carriers above it.
-
-    The carriers above m are m itself and those above m + b for each b
-    outside m, so in descending mask order the image of m is m (if fixed,
-    else the full carrier) intersected with the images of those m + b: at
-    most n steps per carrier, where ``oracle.reflect_full`` tests every
-    fixed carrier against every carrier.
+    """Send each carrier to the intersection of the fixed carriers above it,
+    by :func:`~covlat.sets.meets_above` in at most n steps per carrier,
+    where ``oracle.reflect_full`` tests every fixed carrier against every
+    carrier.
     """
-    table = t.table
-    full = len(table) - 1
-    out = [0] * len(table)
-    for m in range(full, -1, -1):
-        acc = m if table[m] == m else full
-        free = full ^ m
-        while free:
-            low = free & -free
-            acc &= out[m | low]
-            free ^= low
-        out[m] = acc
-    return type(t)(t.parent, out)
+    return type(t)(t.parent, meets_above(fixed_masks(t), len(t.parent.base)))
 
 
 # -- axioms ------------------------------------------------------------------

@@ -148,6 +148,17 @@ class TestInitialClosure:
         with pytest.raises(ExtensionFailureError):
             initial_closure(m, discrete_closure(one))
 
+    def test_extension_witness_is_the_lowest_unrelated_element(self):
+        # b and c are related to nothing; the least carrier escaping the
+        # preimage of its image is {b}, not {c}, {b, c} or the full source
+        src = Cover.from_axiom_names(BaseSet(["a", "b", "c"]), [])
+        one = Cover.from_axiom_names(BaseSet(["x"]), [])
+        r = Relation(src.base, one.base, [("a", "x")])
+        m = ValidatedMorphism.build(r, src, one)
+        with pytest.raises(ExtensionFailureError) as exc:
+            initial_closure(m, discrete_closure(one))
+        assert exc.value.witness.sorted_members() == ["b"]
+
     def test_relational_continuity_gap(self, free2):
         # a relates to both targets, b only to the first: the pulled-back
         # table is a valid closure operator yet the morphism is not

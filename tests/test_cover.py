@@ -243,6 +243,30 @@ class TestSaturationTable:
         assert_table_matches_scans(c)
         assert c.saturation_table() == source.saturation_table()
 
+    def test_chained_empty_premises(self):
+        # a needs nothing, b needs a; c's premise {b, d} stays incomplete
+        base = BaseSet(["a", "b", "c", "d"])
+        axioms = [("a", []), ("b", ["a"]), ("c", ["b", "d"])]
+        assert Cover.from_axiom_names(base, axioms).saturate_mask(0) == 0b0011
+        c = Cover.from_axiom_names(base, axioms)
+        assert c.saturation_table()[0] == 0b0011
+        assert_table_matches_scans(c)
+
+    def test_twin_does_not_run_the_engine(self, monkeypatch):
+        expected = self.late_premise_cover().saturation_table()
+        space = random_space_cover(random.Random(3), 4)
+        space_table = space.saturation_table()
+
+        def broken(self, s, added):
+            raise RuntimeError("the worklist ran")
+
+        monkeypatch.setattr(Cover, "_chain", broken)
+        fresh = self.late_premise_cover()
+        with pytest.raises(RuntimeError):
+            fresh.saturate_mask(1)
+        assert saturation_table_full(fresh) == expected
+        assert saturation_table_full(space) == space_table
+
     def test_table_is_computed_once(self, m3_cover):
         assert m3_cover.saturation_table() is m3_cover.saturation_table()
 

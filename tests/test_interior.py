@@ -29,6 +29,8 @@ from covlat import (
 )
 from covlat.errors import CompositionDefectError, ContinuityPreconditionError
 from covlat.oracle import (
+    all_relations,
+    default_base,
     enumerate_interior_tables,
     random_cover,
     random_interior_table,
@@ -143,6 +145,21 @@ class TestInitialInterior:
         # {x} pulls back to {a,b}; only the full source co-restricts to {x}
         assert corestriction_mask(m, 3) == 1
         assert corestriction_mask(m, 1) == 0
+
+    @pytest.mark.parametrize("sizes", [(0, 2), (2, 0), (2, 2), (3, 2), (2, 3)])
+    def test_corestriction_matches_definition(self, sizes):
+        # {w : preimage of {w} inside t}, over every relation and carrier
+        src = Cover(default_base(sizes[0]))
+        tgt = Cover(BaseSet([f"x{i}" for i in range(sizes[1])]))
+        for r in all_relations(src.base, tgt.base):
+            m = ValidatedMorphism.build(r, src, tgt)
+            for t in range(1 << sizes[0]):
+                expected = sum(
+                    1 << w
+                    for w in range(sizes[1])
+                    if r.preimage_minus_mask(1 << w) & ~t == 0
+                )
+                assert corestriction_mask(m, t) == expected
 
     def test_corrected_passes_axioms_and_continuity(self, free2):
         m, one = self.collapse(free2)
