@@ -3,7 +3,9 @@
 Exit codes (stable contract): 0 all requested checks pass, 1 a check
 failed, 2 input error, 3 cap or budget exceeded.
 
-JSON reports go to stdout; human-readable summaries go to stderr.
+Each morphism and operator action takes a fixed number of file operands
+(``MORPHISM_OPERANDS``, ``OPERATOR_OPERANDS``); a wrong count is an input
+error.  JSON reports go to stdout; human-readable summaries go to stderr.
 """
 
 from __future__ import annotations
@@ -97,42 +99,36 @@ def cmd_frame(args) -> int:
     return 0
 
 
-def _load_morphism(ws: Workspace, path: str):
+# File operands per action; the parser's choices come from these tables.
+MORPHISM_OPERANDS = {"verify": 1, "canon": 1, "compose": 2}
+OPERATOR_OPERANDS = {
+    "verify": 1,
+    "join": 2,
+    "meet": 2,
+    "initial": 2,
+    "reflect": 1,
+    "coreflect": 1,
+    "continuity": 3,
+}
+
+
+def _operands(args, counts) -> list[str]:
+    want = counts[args.action]
+    if len(args.files) != want:
+        raise InputError(f"{args.command} {args.action} takes {want} file{'s' * (want > 1)}, got {len(args.files)}")
+    return args.files
+
+
+def _morphism(ws: Workspace, path: str) -> ValidatedMorphism:
     pairs, src, tgt = ws.relation_file(path)
-    relation = Relation(src.base, tgt.base, pairs)
-    return relation, src, tgt
+    return ValidatedMorphism.build(Relation(src.base, tgt.base, pairs), src, tgt)
 
 
 def cmd_morphism(args) -> int:
+    paths = _operands(args, MORPHISM_OPERANDS)
     ws = Workspace()
-    if args.action == "verify":
-        relation, src, tgt = _load_morphism(ws, args.files[0])
-        try:
-            m = ValidatedMorphism.build(relation, src, tgt)
-        except MorphismValidationError as exc:
-            m, respects = None, exc.verdict
-        else:
-            respects = m.respects
-        report = {"file": args.files[0], "respects": respects.to_json()}
-        if m is not None:
-            report["convergent"] = m.convergent.to_json()
-            ok = m.convergent.passed
-        else:
-            ok = False
-        report["pass"] = ok
-        _say(f"respects covers: {respects.passed}")
-        _emit(report)
-        return 0 if ok else 1
-    if args.action == "canon":
-        relation, src, tgt = _load_morphism(ws, args.files[0])
-        m = ValidatedMorphism.build(relation, src, tgt)
-        _emit({"file": args.files[0], "canonical": canonical_form(m).to_json(), "pass": True})
-        return 0
     if args.action == "compose":
-        r1, src1, tgt1 = _load_morphism(ws, args.files[0])
-        r2, src2, tgt2 = _load_morphism(ws, args.files[1])
-        first = ValidatedMorphism.build(r1, src1, tgt1)
-        second = ValidatedMorphism.build(r2, src2, tgt2)
+        first, second = (_morphism(ws, path) for path in paths)
         result = compose(second, first)
         _emit(
             {
@@ -142,87 +138,77 @@ def cmd_morphism(args) -> int:
             }
         )
         return 0
-    raise InputError(f"unknown morphism action {args.action!r}")
+    (path,) = paths
+    if args.action == "canon":
+        _emit({"file": path, "canonical": canonical_form(_morphism(ws, path)).to_json(), "pass": True})
+        return 0
+    try:
+        m = _morphism(ws, path)
+    except MorphismValidationError as exc:
+        m, respects = None, exc.verdict
+    else:
+        respects = m.respects
+    report = {"file": path, "respects": respects.to_json()}
+    if m is not None:
+        report["convergent"] = m.convergent.to_json()
+    report["pass"] = ok = m is not None and m.convergent.passed
+    _say(f"respects covers: {respects.passed}")
+    _emit(report)
+    return 0 if ok else 1
 
 
 def cmd_operator(args) -> int:
+    paths = _operands(args, OPERATOR_OPERANDS)
+    action = args.action
     ws = Workspace()
+    if action in ("initial", "continuity"):
+        m = _morphism(ws, paths[0])
+        paths = paths[1:]
+    tables = [ws.operator_file(path, args.kind) for path in paths]
+    if len({t.kind for t in tables}) > 1:
+        raise InputError("cannot combine closure and interior tables")
+    table = tables[0]
+    closure = table.kind == "closure"
 
-    def load_op(path):
-        return ws.operator_file(path, args.kind)
-
-    if args.action == "verify":
-        table = load_op(args.files[0])
-        if table.kind == "interior":
-            verdict = it.verify_interior_axioms(table)
-        else:
-            verdict = cl.verify_closure_axioms(table)
+    if action == "verify":
+        verdict = (cl.verify_closure_axioms if closure else it.verify_interior_axioms)(table)
         _say(f"axioms: {verdict.passed}")
-        _emit({"file": args.files[0], "verdict": verdict.to_json(), "pass": verdict.passed})
+        _emit({"file": paths[0], "verdict": verdict.to_json(), "pass": verdict.passed})
         return 0 if verdict.passed else 1
 
-    if args.action in ("join", "meet"):
-        t1, t2 = load_op(args.files[0]), load_op(args.files[1])
-        if t1.kind != t2.kind:
-            raise InputError("cannot combine closure and interior tables")
-        if t1.kind == "interior":
-            out = (it.join_interiors if args.action == "join" else it.meet_interiors)([t1, t2])
-        else:
-            out = (cl.join_closures if args.action == "join" else cl.meet_closures)([t1, t2])
-        print(operator_text(out, "<combined>"))
-        return 0
-
-    if args.action == "initial":
-        relation, src, tgt = _load_morphism(ws, args.files[0])
-        m = ValidatedMorphism.build(relation, src, tgt)
-        table = load_op(args.files[1])
-        if table.kind == "interior":
-            if args.initial_mode == "paper":
-                candidate, verdict = it.initial_interior_paper(m, table)
-                report = [
-                    ("mode", dump_json("paper")),
-                    ("verdict", dump_json(verdict.to_json())),
-                    ("table", table_text(candidate)),
-                    ("pass", dump_json(verdict.passed)),
-                ]
-                if not verdict.passed:
-                    w = verdict.witness
-                    _say(f"{w['axiom']} violated, witness {_jsonify(w.get('carrier', w.get('smaller')))}")
-                print(dump_fields(report))
-                return 0 if verdict.passed else 1
-            result = it.initial_interior_corrected(m, table)
-        else:
-            result = cl.initial_closure(m, table)
-        print(operator_text(result, "<initial>"))
-        return 0
-
-    if args.action in ("reflect", "coreflect"):
-        table = load_op(args.files[0])
-        if args.action == "reflect":
-            if table.kind != "closure":
-                raise InputError("reflect expects a closure table")
-            out = cl.reflection(table)
-        else:
-            if table.kind != "interior":
-                raise InputError("coreflect expects an interior table")
-            out = it.coreflection(table)
-        print(operator_text(out, "<derived>"))
-        return 0
-
-    if args.action == "continuity":
-        relation, src, tgt = _load_morphism(ws, args.files[0])
-        m = ValidatedMorphism.build(relation, src, tgt)
-        t_src = load_op(args.files[1])
-        t_tgt = load_op(args.files[2])
-        if t_src.kind == "interior":
-            verdict = it.is_i_continuous(m, t_src, t_tgt)
-        else:
-            verdict = cl.is_c_continuous(m, t_src, t_tgt)
+    if action == "continuity":
+        verdict = (cl.is_c_continuous if closure else it.is_i_continuous)(m, *tables)
         _say(f"continuous: {verdict.passed}")
         _emit({"verdict": verdict.to_json(), "pass": verdict.passed})
         return 0 if verdict.passed else 1
 
-    raise InputError(f"unknown operator action {args.action!r}")
+    if action == "initial" and not closure and args.initial_mode == "paper":
+        candidate, verdict = it.initial_interior_paper(m, table)
+        report = [
+            ("mode", dump_json("paper")),
+            ("verdict", dump_json(verdict.to_json())),
+            ("table", table_text(candidate)),
+            ("pass", dump_json(verdict.passed)),
+        ]
+        if not verdict.passed:
+            w = verdict.witness
+            _say(f"{w['axiom']} violated, witness {_jsonify(w.get('carrier', w.get('smaller')))}")
+        print(dump_fields(report))
+        return 0 if verdict.passed else 1
+
+    if action == "join":
+        out = (cl.join_closures if closure else it.join_interiors)(tables)
+    elif action == "meet":
+        out = (cl.meet_closures if closure else it.meet_interiors)(tables)
+    elif action == "initial":
+        out = (cl.initial_closure if closure else it.initial_interior_corrected)(m, table)
+    elif closure == (action == "reflect"):
+        out = (cl.reflection if closure else it.coreflection)(table)
+    else:
+        raise InputError(f"{action} expects {'a closure' if action == 'reflect' else 'an interior'} table")
+    label = {"join": "<combined>", "meet": "<combined>", "initial": "<initial>"}.get(action, "<derived>")
+    print(operator_text(out, label))
+    return 0
 
 
 def cmd_certify(args) -> int:
@@ -230,6 +216,8 @@ def cmd_certify(args) -> int:
         raise InputError(f"--samples must be at least 1, got {args.samples}")
     if args.max_cover_size < 0:
         raise InputError(f"--max-cover-size must be at least 0, got {args.max_cover_size}")
+    if args.max_cover_size > 3:
+        raise InputError(f"--max-cover-size must be at most 3, got {args.max_cover_size}")
     from .oracle import EnumerationBudget, default_certificates  # only certify needs the oracle
 
     budget = EnumerationBudget(
@@ -261,15 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_frame)
 
     p = sub.add_parser("morphism", help="verify, canonicalize or compose morphism files")
-    p.add_argument("action", choices=["verify", "canon", "compose"])
+    p.add_argument("action", choices=MORPHISM_OPERANDS)
     p.add_argument("files", nargs="+")
     p.set_defaults(fn=cmd_morphism)
 
     p = sub.add_parser("operator", help="operator-table operations")
-    p.add_argument(
-        "action",
-        choices=["verify", "join", "meet", "initial", "reflect", "coreflect", "continuity"],
-    )
+    p.add_argument("action", choices=OPERATOR_OPERANDS)
     p.add_argument("files", nargs="+")
     p.add_argument("--kind", choices=["closure", "interior"], default=None)
     p.add_argument("--initial-mode", choices=["paper", "corrected"], default="corrected")

@@ -80,7 +80,7 @@ class Cover:
         self.axioms = axioms if axioms is not None else CoverAxioms(base, ())
         self._saturation_fn = saturation_fn
         self._cache: dict[int, int] = {}
-        self._covered_by: list[int] | None = None
+        self._singletons: list[int] | None = None
         self._table: list[int] | None = None
         self._inert = 0
         if saturation_fn is None:
@@ -206,29 +206,22 @@ class Cover:
 
     # -- meets via the down-set ----------------------------------------------
 
-    def _covered_by_singletons(self) -> list[int]:
-        """For each element b, the mask of x with b covering {x}."""
-        if self._covered_by is None:
-            n = len(self.base)
-            sats = [self.saturate_mask(1 << i) for i in range(n)]
-            covered = [0] * n
-            for x, sat in enumerate(sats):
-                m = sat
-                while m:
-                    low = m & -m
-                    covered[low.bit_length() - 1] |= 1 << x
-                    m ^= low
-            self._covered_by = covered
-        return self._covered_by
-
     def down_mask(self, u: int, v: int) -> int:
-        covered = self._covered_by_singletons()
-        out = 0
-        for b in range(len(self.base)):
-            cb = covered[b]
-            if cb & u and cb & v:
-                out |= 1 << b
-        return out
+        """The down-set meet of U and V: the intersection of their down-sets,
+        the down-set of U being the union of sat({x}) over x in U."""
+        if self._singletons is None:
+            self._singletons = [self.saturate_mask(1 << x) for x in range(len(self.base))]
+        sats = self._singletons
+        down_u = down_v = 0
+        while u:
+            low = u & -u
+            down_u |= sats[low.bit_length() - 1]
+            u ^= low
+        while v:
+            low = v & -v
+            down_v |= sats[low.bit_length() - 1]
+            v ^= low
+        return down_u & down_v
 
     def down(self, u: Subset, v: Subset) -> Subset:
         self._check(u)

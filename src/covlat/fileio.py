@@ -137,14 +137,13 @@ class Workspace:
     """Loads and caches instances so that morphism and operator files can
     reference them by path with referential integrity."""
 
-    def __init__(self, anchor_dir: str = "."):
-        self.anchor_dir = anchor_dir
+    def __init__(self):
         self._covers: dict[str, Cover] = {}
 
     def _resolve(self, ref: str, relative_to: str | None) -> str:
         if os.path.isabs(ref):
             return ref
-        root = os.path.dirname(relative_to) if relative_to else self.anchor_dir
+        root = os.path.dirname(relative_to) if relative_to else "."
         return os.path.normpath(os.path.join(root, ref))
 
     def cover(self, ref: str, relative_to: str | None = None) -> Cover:
@@ -231,9 +230,5 @@ def operator_text(table, cover_ref: str) -> str:
     )
 
 
-def dump_json(data, path: str | None = None) -> str:
-    text = json.dumps(data, indent=2, ensure_ascii=False)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return text
+def dump_json(data) -> str:
+    return json.dumps(data, indent=2, ensure_ascii=False)

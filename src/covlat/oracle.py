@@ -244,14 +244,34 @@ def all_relations(source: BaseSet, target: BaseSet):
 # -- the minimal-cover cuts ---------------------------------------------------
 
 
+def _naive_sat(cover: Cover):
+    """Saturation by naive iteration on an axiom cover and by the cover's
+    own function otherwise, so that neither the worklist nor its cache is
+    used."""
+    return cover._saturation_fn or (lambda m: naive_saturate(cover.axioms, m))
+
+
 def saturation_table_full(cover: Cover) -> list[int]:
-    """One saturation per subset, by naive iteration on an axiom cover and
-    by the cover's own function otherwise, so that neither the worklist
-    nor its cache is used; the reference for ``Cover.saturation_table``."""
+    """One ``_naive_sat`` per subset; the reference for
+    ``Cover.saturation_table``."""
     n = len(cover.base)
     require_cap("saturation_table_full", n, "single")
-    sat = cover._saturation_fn or (lambda m: naive_saturate(cover.axioms, m))
+    sat = _naive_sat(cover)
     return [sat(m) for m in range(1 << n)]
+
+
+def down_full(cover: Cover, u: int, v: int) -> int:
+    """The elements b with b in sat({x}) for some x in U and b in sat({y})
+    for some y in V, each singleton by ``_naive_sat``; the reference for
+    ``Cover.down_mask``."""
+    n = len(cover.base)
+    sat = _naive_sat(cover)
+    below = [sat(1 << x) for x in range(n)]
+
+    def in_down(w, b):
+        return any(w >> x & 1 and below[x] >> b & 1 for x in range(n))
+
+    return sum(1 << b for b in range(n) if in_down(u, b) and in_down(v, b))
 
 
 def is_convergent_full(cover: Cover) -> Verdict:
@@ -620,7 +640,8 @@ def certify_morphism_shortcuts(budget: EnumerationBudget, size: int = 3) -> Cert
     return _timed("morphism-singleton-reductions", bounds, run)
 
 
-def _sample_validated_morphism(rng, size_src, size_tgt, require_total=False):
+def _sample_validated_morphism(rng, size_src, size_tgt):
+    """A validated left-total morphism between random covers, or None."""
     c1 = random_cover(rng, size_src)
     c2 = random_cover(rng, size_tgt)
     for _ in range(200):
@@ -631,7 +652,7 @@ def _sample_validated_morphism(rng, size_src, size_tgt, require_total=False):
             if rng.random() < 0.5
         ]
         r = Relation(c1.base, c2.base, pairs)
-        if require_total and not r.is_left_total():
+        if not r.is_left_total():
             continue
         try:
             return ValidatedMorphism.build(r, c1, c2)
@@ -652,7 +673,7 @@ def certify_initial_lift(budget: EnumerationBudget) -> Certificate:
         rng = budget.rng()
         instances = 0
         for _ in range(budget.samples):
-            m = _sample_validated_morphism(rng, 2, 2, require_total=True)
+            m = _sample_validated_morphism(rng, 2, 2)
             if m is None:
                 skipped += 1
                 continue

@@ -257,6 +257,56 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr == f"error: t.json: {message.format(shape=shape)}\n"
 
+    # Malformed invocations: a wrong operand count, tables of both kinds, a
+    # cover size the certificates cannot honour.
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["morphism", "canon", "id2.json", "id2.json"], "morphism canon takes 1 file, got 2"),
+            (["morphism", "compose", "id2.json"], "morphism compose takes 2 files, got 1"),
+            (["morphism", "compose", "id2.json", "id2.json", "id2.json"],
+             "morphism compose takes 2 files, got 3"),
+            (["operator", "verify", "trivial_closure_free2.json", "extra.json"],
+             "operator verify takes 1 file, got 2"),
+            (["operator", "join", "trivial_closure_free2.json"], "operator join takes 2 files, got 1"),
+            (["operator", "join", "trivial_closure_free2.json", "trivial_closure_free2.json",
+              "trivial_closure_free2.json"], "operator join takes 2 files, got 3"),
+            (["operator", "initial", "id2.json"], "operator initial takes 2 files, got 1"),
+            (["operator", "initial", "id2.json", "trivial_closure_free2.json",
+              "trivial_closure_free2.json"], "operator initial takes 2 files, got 3"),
+            (["operator", "continuity", "id2.json", "trivial_closure_free2.json"],
+             "operator continuity takes 3 files, got 2"),
+            (["operator", "continuity", "id2.json", "trivial_closure_free2.json",
+              "trivial_closure_free2.json", "trivial_closure_free2.json"],
+             "operator continuity takes 3 files, got 4"),
+            (["operator", "continuity", "id2.json", "trivial_closure_free2.json",
+              "discrete_interior_free2.json"], "cannot combine closure and interior tables"),
+            (["operator", "continuity", "id2.json", "discrete_interior_free2.json",
+              "trivial_closure_free2.json"], "cannot combine closure and interior tables"),
+            (["certify", "--max-cover-size", "4"], "--max-cover-size must be at most 3, got 4"),
+        ],
+        ids=[
+            "canon-too-many",
+            "compose-too-few",
+            "compose-too-many",
+            "verify-too-many",
+            "join-too-few",
+            "join-too-many",
+            "initial-too-few",
+            "initial-too-many",
+            "continuity-too-few",
+            "continuity-too-many",
+            "continuity-closure-interior",
+            "continuity-interior-closure",
+            "certify-max-cover-size",
+        ],
+    )
+    def test_malformed_invocation_is_one_line_input_error(self, args, message):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
+
     def test_cap_exceeded_is_three(self):
         big = {"base": [f"e{i}" for i in range(12)], "axioms": []}
         import tempfile

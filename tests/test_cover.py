@@ -22,6 +22,7 @@ from covlat import (
 from covlat.oracle import (
     cover_from_table_full,
     default_base,
+    down_full,
     hasse_edges_full,
     is_convergent_full,
     naive_saturate,
@@ -97,6 +98,15 @@ class TestDownSet:
         b = chain2.base.subset(["b"])
         # a covers {b}, so a lies below both
         assert "a" in chain2.down(a, b).members()
+
+    @given(st.integers(0, 10_000), st.integers(0, 5), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_definition(self, seed, size, space):
+        rng = random.Random(seed)
+        c = random_space_cover(rng, size) if space else random_cover(rng, size, 2 * size)
+        for u in range(1 << size):
+            for v in range(1 << size):
+                assert c.down_mask(u, v) == down_full(c, u, v)
 
 
 class TestConvergence:
