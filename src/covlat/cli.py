@@ -24,7 +24,15 @@ from .errors import (
     MorphismValidationError,
     UpperBoundFailureError,
 )
-from .fileio import Workspace, dump_fields, dump_json, load_instance, operator_text, table_text
+from .fileio import (
+    Workspace,
+    dump_fields,
+    dump_json,
+    frame_text,
+    load_instance,
+    operator_text,
+    table_text,
+)
 from .morphism import (  # noqa: F401 - perfbench/selftest.py reads cli.respects_covers
     Relation,
     ValidatedMorphism,
@@ -84,18 +92,12 @@ def cmd_frame(args) -> int:
     cover = load_instance(args.instance)
     frame = cover.saturated_sets()
     edges = frame.hasse_edges()
-    report = {
-        "file": args.instance,
-        "saturated": [s.sorted_members() for s in frame.sets],
-        "hasse": [[lo.sorted_members(), hi.sorted_members()] for lo, hi in edges],
-        "convergent": frame.convergent.to_json() if frame.convergent is not None else None,
-    }
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(dot_diagram(frame.sets, edges))
         _say(f"wrote {args.dot}")
     _say(f"{len(frame.sets)} saturated sets")
-    _emit(report)
+    print(frame_text(args.instance, frame, edges))
     return 0
 
 

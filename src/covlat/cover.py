@@ -234,7 +234,9 @@ class Cover:
         """For each element a, the masks covering a minimally, in mask order.
 
         By monotonicity of saturation, v covers a minimally iff a is in
-        sat(v) and in no sat(v - b) for b in v.
+        sat(v) and in no sat(v - b) for b in v.  Those candidates only
+        shrink as bits b are tried, so the scan of v stops once none is
+        left.  The reference is ``oracle.minimal_covers_full``.
         """
         n = len(self.base)
         require_cap("minimal_covers", n, "single")
@@ -242,7 +244,7 @@ class Cover:
         minimal: list[list[int]] = [[] for _ in range(n)]
         for v, fresh in enumerate(sat):
             m = v
-            while m:
+            while m and fresh:
                 low = m & -m
                 fresh &= ~sat[v ^ low]
                 m ^= low
@@ -270,13 +272,14 @@ class Cover:
         require_cap("is_convergent", n, "double")
         checked = 0
         minimal = self.minimal_covers()
+        sat = self.saturation_table()
         for a in range(n):
             bit = 1 << a
             covers = minimal[a]
             for v in covers:
                 for u in covers:
                     checked += 1
-                    if not self.saturate_mask(self.down_mask(u, v)) & bit:
+                    if not sat[self.down_mask(u, v)] & bit:
                         return Verdict.fail(
                             {
                                 "element": self.base.elements[a],
@@ -290,11 +293,9 @@ class Cover:
     def saturated_sets(self) -> "FrameOfSaturated":
         n = len(self.base)
         require_cap("saturated_sets", n, "single")
-        fixed = [
-            self.base.subset_from_mask(m)
-            for m, sat in enumerate(self.saturation_table())
-            if sat == m
-        ]
+        fixed = self.base.subsets_from_masks(
+            m for m, sat in enumerate(self.saturation_table()) if sat == m
+        )
         convergent = None
         if n <= cap_for("double"):
             convergent = self.is_convergent()

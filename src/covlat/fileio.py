@@ -204,7 +204,44 @@ def table_text(table) -> str:
         "[\n    " + sides[m] + ",\n    " + sides[out] + "\n  ]"
         for m, out in enumerate(table.table)
     ]
-    return "[\n  " + ",\n  ".join(rows) + "\n]"
+    return _list_text(rows)
+
+
+def frame_text(path: str, frame, edges) -> str:
+    """``dump_json`` of the ``frame`` report of ``path``: the frame's
+    saturated sets, the Hasse ``edges`` between them and the convergence
+    verdict, written from one fragment per saturated set.
+
+    A fragment is a set's sorted member list, each name encoded once and
+    indented as a ``saturated`` entry; one more level of indent makes it a
+    ``hasse`` side.  Fragments are built for the frame's own sets only, so
+    an edge is one concatenation.
+    """
+    elements = frame.cover.base.elements
+    items = [
+        (1 << i, ",\n    " + encode_basestring(name))
+        for name, i in sorted((name, i) for i, name in enumerate(elements))
+    ]
+    entries = {}
+    for s in frame.sets:
+        body = "".join(text for bit, text in items if s.mask & bit)
+        entries[s.mask] = "[" + body[1:] + "\n  ]" if body else "[]"
+    sides = {mask: entry.replace("\n", "\n  ") for mask, entry in entries.items()}
+    hasse = ["[\n    " + sides[lo.mask] + ",\n    " + sides[hi.mask] + "\n  ]" for lo, hi in edges]
+    convergent = frame.convergent.to_json() if frame.convergent is not None else None
+    return dump_fields(
+        [
+            ("file", encode_basestring(path)),
+            ("saturated", _list_text(list(entries.values()))),
+            ("hasse", _list_text(hasse)),
+            ("convergent", dump_json(convergent)),
+        ]
+    )
+
+
+def _list_text(items: list[str]) -> str:
+    """A JSON list as text at depth 0, from its items' text at depth 1."""
+    return "[\n  " + ",\n  ".join(items) + "\n]" if items else "[]"
 
 
 def dump_fields(fields) -> str:

@@ -96,10 +96,6 @@ class Relation:
             raise BaseMismatchError("subset is not over the source base")
         return self.target.subset_from_mask(self.direct_image_mask(x.mask))
 
-    def inverse_image(self, w: Subset) -> Subset:
-        """The direct image of the converse; coincides with preimage_minus."""
-        return self.preimage_minus(w)
-
     def is_left_total(self) -> bool:
         return all(self._image)
 

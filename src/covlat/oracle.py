@@ -260,6 +260,20 @@ def saturation_table_full(cover: Cover) -> list[int]:
     return [sat(m) for m in range(1 << n)]
 
 
+def minimal_covers_full(cover: Cover) -> list[list[int]]:
+    """For each element a, in mask order: the covers of a (by
+    ``saturation_table_full``) minus any with a smaller cover of a inside
+    them; the reference for ``Cover.minimal_covers``."""
+    sat = saturation_table_full(cover)
+    minimal = []
+    for a in range(len(cover.base)):
+        covers = [v for v, s in enumerate(sat) if s >> a & 1]
+        minimal.append(
+            [v for v in covers if not any(w != v and sat[w] >> a & 1 for w in submasks(v))]
+        )
+    return minimal
+
+
 def down_full(cover: Cover, u: int, v: int) -> int:
     """The elements b with b in sat({x}) for some x in U and b in sat({y})
     for some y in V, each singleton by ``_naive_sat``; the reference for

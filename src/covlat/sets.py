@@ -11,6 +11,8 @@ used for every witness the library reports.
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from .errors import BaseMismatchError
@@ -78,9 +80,27 @@ class BaseSet:
         return Subset(self, self.mask_of(members))
 
     def subset_from_mask(self, mask: int) -> Subset:
+        """The subset with this mask; a mask outside the base raises."""
         if mask < 0 or mask >> len(self._elements):
             raise ValueError(f"mask {mask:#x} out of range for base of size {len(self)}")
         return Subset(self, mask)
+
+    def subsets_from_masks(self, masks: Iterable[int]) -> list[Subset]:
+        """The subsets with these masks, in the given order, for masks the
+        caller has already bounded (a saturation table's fixed points, a
+        range of masks); a mask that may come from outside goes through
+        :meth:`subset_from_mask` and its range check.
+
+        Each Subset is made by ``Subset.__new__`` and filled through the
+        slot descriptors, one ``map`` per slot, which skips the range check
+        and ``Subset.__init__``'s two ``object.__setattr__`` calls; the
+        immutability guard is untouched.
+        """
+        masks = list(masks)
+        subsets = list(map(Subset.__new__, repeat(Subset, len(masks))))
+        deque(map(Subset.base.__set__, subsets, repeat(self)), 0)
+        deque(map(Subset.mask.__set__, subsets, masks), 0)
+        return subsets
 
     def empty(self) -> Subset:
         return Subset(self, 0)
@@ -116,8 +136,7 @@ class BaseSet:
 
     def all_subsets(self) -> Iterator[Subset]:
         """All subsets in increasing mask order (the canonical witness order)."""
-        for mask in range(1 << len(self._elements)):
-            yield Subset(self, mask)
+        return iter(self.subsets_from_masks(range(1 << len(self._elements))))
 
 
 class Subset:

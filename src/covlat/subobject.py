@@ -54,7 +54,7 @@ class SublocaleFamily:
         base = t.base
         comp = t.complement().mask
         # the subsets of the carrier in mask order, each joined with comp
-        self.sets = tuple(base.subset_from_mask(sub | comp) for sub in submasks(t.mask))
+        self.sets = tuple(base.subsets_from_masks(sub | comp for sub in submasks(t.mask)))
         self._masks = frozenset(s.mask for s in self.sets)
 
     def __len__(self) -> int:

@@ -142,8 +142,7 @@ def fixed_masks(t: OperatorTable) -> list[int]:
 def fixed_carriers(t: OperatorTable) -> list[Subset]:
     """The carriers the table fixes, in mask order: the closed carriers of
     a closure table, the open ones of an interior table."""
-    base = t.parent.base
-    return [base.subset_from_mask(m) for m in fixed_masks(t)]
+    return t.parent.base.subsets_from_masks(fixed_masks(t))
 
 
 def pull_back(m: ValidatedMorphism, tgt: OperatorTable, inner) -> list[int]:

@@ -25,6 +25,7 @@ from covlat.oracle import (
     down_full,
     hasse_edges_full,
     is_convergent_full,
+    minimal_covers_full,
     naive_saturate,
     random_closure_table,
     random_cover,
@@ -128,6 +129,24 @@ class TestConvergence:
         assert chain2.is_convergent().passed
 
 
+# shape -> (axioms (x, y), "x covered by {y}", on n elements; the minimal
+# covers of element a)
+SINGLETON_COVER_SHAPES = {
+    # no axioms: a is minimally covered by {a} alone
+    "free": (lambda n: [], lambda n, a: [1 << a]),
+    # every element covered by every singleton
+    "alleq": (
+        lambda n: [(x, y) for x in range(n) for y in range(n)],
+        lambda n, a: [1 << y for y in range(n)],
+    ),
+    # element i covered by {i + 1}
+    "chain": (
+        lambda n: [(i, i + 1) for i in range(n - 1)],
+        lambda n, a: [1 << y for y in range(a, n)],
+    ),
+}
+
+
 class TestMinimalCoverCuts:
     """The minimal-cover and upper-cover scans against the full scans."""
 
@@ -135,12 +154,24 @@ class TestMinimalCoverCuts:
     @settings(max_examples=60, deadline=None)
     def test_minimal_covers_by_definition(self, seed, size):
         c = small_cover(seed, size)
-        minimal = c.minimal_covers()
-        for a in range(size):
-            covers = [v for v in range(1 << size) if c.saturate_mask(v) >> a & 1]
-            assert minimal[a] == [
-                v for v in covers if not any(w != v and w & ~v == 0 for w in covers)
-            ]
+        assert c.minimal_covers() == minimal_covers_full(c)
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 6, 10])
+    @pytest.mark.parametrize("shape", sorted(SINGLETON_COVER_SHAPES))
+    def test_minimal_covers_that_exit_at_once(self, shape, size):
+        # every candidate of a singleton cover v goes at v's first bit
+        axioms, minimal = SINGLETON_COVER_SHAPES[shape]
+        base = default_base(size)
+        names = base.elements
+        c = Cover.from_axiom_names(base, [(names[x], [names[y]]) for x, y in axioms(size)])
+        got = c.minimal_covers()
+        assert got == [minimal(size, a) for a in range(size)]
+        assert got == minimal_covers_full(c)
+
+    @pytest.mark.parametrize("name", sorted(standard_suplattices()))
+    def test_suplattice_minimal_covers(self, name):
+        c = cover_from_suplattice(standard_suplattices()[name])
+        assert c.minimal_covers() == minimal_covers_full(c)
 
     @given(st.integers(0, 10_000), st.integers(0, 6))
     @settings(max_examples=100, deadline=None)
@@ -197,11 +228,9 @@ def assert_table_matches_scans(c):
     assert c.saturation_table() == full
     closed = [m for m in range(1 << n) if full[m] == m]
     fr = c.saturated_sets()
+    assert isinstance(fr.sets, tuple)
     assert [s.mask for s in fr.sets] == closed
-    covers = [[v for v in range(1 << n) if full[v] >> a & 1] for a in range(n)]
-    assert c.minimal_covers() == [
-        [v for v in vs if not any(w != v and w & ~v == 0 for w in vs)] for vs in covers
-    ]
+    assert c.minimal_covers() == minimal_covers_full(c)
     scanned = FrameOfSaturated(c, tuple(c.base.subset_from_mask(m) for m in closed), None)
     assert fr.hasse_edges() == hasse_edges_full(scanned)
     for t in range(0, 1 << n, 3):

@@ -1,5 +1,5 @@
-"""The operator-table writer against ``json.dumps(indent=2)`` of the dict
-form, on shuffled bases whose names need every kind of JSON escape."""
+"""The operator-table and frame writers against ``json.dumps(indent=2)`` of
+the dict form, on shuffled bases whose names need every kind of JSON escape."""
 
 import contextlib
 import io
@@ -8,6 +8,7 @@ import os
 import random
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,8 +23,16 @@ from covlat import (
     reflection,
 )
 from covlat.cli import main
-from covlat.fileio import dump_json, operator_text, operator_to_json, table_text
+from covlat.fileio import (
+    dump_json,
+    frame_text,
+    load_instance,
+    operator_text,
+    operator_to_json,
+    table_text,
+)
 from covlat.oracle import random_interior_table
+from conftest import data_path
 
 # Every control character, the quote and the backslash, the line separator
 # that JSON leaves raw under ensure_ascii=False, names that are prefixes of
@@ -52,6 +61,57 @@ def run_main(*argv):
 def write(path, data):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, ensure_ascii=False)
+
+
+def frame_report(path, frame, edges):
+    """The dict form of the ``frame`` report, which ``dump_json`` printed."""
+    return {
+        "file": path,
+        "saturated": [s.sorted_members() for s in frame.sets],
+        "hasse": [[lo.sorted_members(), hi.sorted_members()] for lo, hi in edges],
+        "convergent": frame.convergent.to_json() if frame.convergent is not None else None,
+    }
+
+
+def assert_frame_text_matches(path, cover):
+    frame = cover.saturated_sets()
+    edges = frame.hasse_edges()
+    assert frame_text(path, frame, edges) == dump_json(frame_report(path, frame, edges))
+
+
+@given(st.integers(0, 10_000), st.integers(0, 7))
+@settings(max_examples=80, deadline=None)
+def test_frame_text_matches_dump_json(seed, size):
+    rng = random.Random(seed)
+    base = shuffled_base(rng, size)
+    names = base.elements
+    axioms = [
+        (rng.choice(names), rng.sample(names, rng.randint(0, size)))
+        for _ in range(rng.randint(0, 2 * size) if size else 0)
+    ]
+    path = "".join(rng.sample(NAMES, 3))
+    assert_frame_text_matches(path, Cover.from_axiom_names(base, axioms))
+
+
+# unsorted4: base order is not sorted order; m3: convergence fails with a witness
+@pytest.mark.parametrize("name", ["unsorted4.json", "m3.json", "chain.json", "one.json"])
+def test_frame_text_on_data_files(name):
+    assert_frame_text_matches(name, load_instance(data_path(name)))
+
+
+def test_frame_text_over_the_double_cap():
+    """Nine elements: no convergence verdict, so ``convergent`` is null."""
+    rng = random.Random(9)
+    base = shuffled_base(rng, 9)
+    names = base.elements
+    cover = Cover.from_axiom_names(base, [(names[0], [names[1]]), (names[2], names[3:5])])
+    assert cover.saturated_sets().convergent is None
+    assert_frame_text_matches("over.json", cover)
+
+
+def test_frame_text_of_the_empty_base():
+    # one saturated set, the empty one, and no edges
+    assert_frame_text_matches("empty.json", Cover(BaseSet([])))
 
 
 @given(st.integers(0, 10_000), st.integers(0, 8))

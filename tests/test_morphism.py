@@ -49,7 +49,7 @@ class TestRelation:
         r = Relation(free2.base, tgt, [("a", "y"), ("b", "x")])
         conv = r.converse()
         for w in tgt.all_subsets():
-            assert r.inverse_image(w) == conv.direct_image(w)
+            assert r.preimage_minus(w) == conv.direct_image(w)
 
     def test_left_total(self, free2):
         tgt = BaseSet(["x"])

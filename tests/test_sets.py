@@ -55,3 +55,36 @@ class TestSortedMemberTable:
         assert table[0b0000] == []
         assert table[0b0101] == ["é", "日"]
         assert table[0b1111] == ["a", "b", "é", "日"]
+
+
+class TestSubsetsFromMasks:
+    @pytest.mark.parametrize("size", range(7))
+    def test_matches_subset_from_mask(self, size):
+        base, _ = shuffled_base(size, size)
+        bulk = base.subsets_from_masks(range(1 << size))
+        one_by_one = [base.subset_from_mask(m) for m in range(1 << size)]
+        assert len(bulk) == len(one_by_one)
+        for got, want in zip(bulk, one_by_one):
+            assert got == want
+            assert hash(got) == hash(want)
+            assert got.base is base
+            assert got.mask == want.mask
+
+    def test_keeps_the_given_order(self):
+        base = BaseSet(["b", "a", "c"])
+        masks = [5, 0, 7, 2, 2]
+        assert [s.mask for s in base.subsets_from_masks(iter(masks))] == masks
+
+    def test_bulk_subsets_are_immutable(self):
+        base = BaseSet(["a", "b"])
+        other = BaseSet(["x"])
+        for s in base.subsets_from_masks(range(4)):
+            with pytest.raises(AttributeError, match="immutable"):
+                s.mask = 1
+            with pytest.raises(AttributeError, match="immutable"):
+                s.base = other
+            assert s.base is base
+
+    def test_all_subsets_in_mask_order(self):
+        base = BaseSet(["b", "a", "c"])
+        assert [s.mask for s in base.all_subsets()] == list(range(8))
