@@ -11,6 +11,7 @@ error.  JSON reports go to stdout; human-readable summaries go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import closure as cl
@@ -234,7 +235,10 @@ def cmd_certify(args) -> int:
     return 0 if all(c.passed for c in certs) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    leaves it unchanged, so every ``main`` call can share it."""
     parser = argparse.ArgumentParser(
         prog="covlat",
         description="Finite convergent covers: checks, frames, morphisms, operator tables.",

@@ -18,7 +18,7 @@ from .errors import (
     MixedParentError,
 )
 from .morphism import ValidatedMorphism
-from .sets import Subset
+from .sets import Subset, first_escape
 from .table import (
     ClosureTable,
     check_morphism_tables,
@@ -72,17 +72,13 @@ def is_c_continuous(
     """Image continuity: the image of a closure is inside the closure of
     the image, for every source subobject."""
     check_morphism_tables(m, c_src, c_tgt)
-    rel = m.relation
-    checked = 0
-    for t in range(1 << len(rel.source)):
-        checked += 1
-        left = rel.direct_image_mask(c_src.table[t])
-        right = c_tgt.table[rel.direct_image_mask(t)]
-        if left & ~right:
-            return Verdict.fail(
-                {"carrier": rel.source.subset_from_mask(t)}, checked
-            )
-    return Verdict.ok(checked)
+    images = m.relation.images()
+    t = first_escape(
+        map(images.__getitem__, c_src.table), map(c_tgt.table.__getitem__, images)
+    )
+    if t is None:
+        return Verdict.ok(len(images))
+    return Verdict.fail({"carrier": m.relation.source.subset_from_mask(t)}, t + 1)
 
 
 def check_preimage_continuity(
@@ -90,17 +86,13 @@ def check_preimage_continuity(
 ) -> Verdict:
     """Preimage form of continuity, quantified over target subobjects."""
     check_morphism_tables(m, c_src, c_tgt)
-    rel = m.relation
-    checked = 0
-    for u in range(1 << len(rel.target)):
-        checked += 1
-        left = c_src.table[rel.preimage_minus_mask(u)]
-        right = rel.preimage_minus_mask(c_tgt.table[u])
-        if left & ~right:
-            return Verdict.fail(
-                {"carrier": rel.target.subset_from_mask(u)}, checked
-            )
-    return Verdict.ok(checked)
+    preimages = m.relation.preimages()
+    u = first_escape(
+        map(c_src.table.__getitem__, preimages), map(preimages.__getitem__, c_tgt.table)
+    )
+    if u is None:
+        return Verdict.ok(len(preimages))
+    return Verdict.fail({"carrier": m.relation.target.subset_from_mask(u)}, u + 1)
 
 
 # -- initial closure ---------------------------------------------------------
@@ -125,7 +117,7 @@ def initial_closure(m: ValidatedMorphism, c_tgt: ClosureTable) -> ClosureTable:
         # element alone
         x = next(x for x in range(len(rel.source)) if not rel.direct_image_mask(1 << x))
         raise ExtensionFailureError(rel.source.subset_from_mask(1 << x))
-    result = ClosureTable(m.source_cover, pull_back(m, c_tgt, rel.direct_image_mask))
+    result = ClosureTable(m.source_cover, pull_back(m, c_tgt, rel.images()))
     axioms = verify_closure_axioms(result)
     if not axioms.passed:
         witness = axioms.witness.get("carrier", axioms.witness.get("smaller"))
@@ -160,15 +152,16 @@ def preservation_checks(
     if not closed.passed:
         return closed
     rel = m.relation
+    images = rel.images()
     checked = closed.checked
-    full_src = (1 << len(rel.source)) - 1
+    full_src = len(images) - 1
     full_tgt = (1 << len(rel.target)) - 1
-    if rel.direct_image_mask(full_src) == full_tgt:
-        for u in range(1 << len(rel.source)):
-            if c_src.table[u] != full_src:
+    if images[full_src] == full_tgt:
+        for u, out in enumerate(c_src.table):
+            if out != full_src:
                 continue
             checked += 1
-            if c_tgt.table[rel.direct_image_mask(u)] != full_tgt:
+            if c_tgt.table[images[u]] != full_tgt:
                 return Verdict.fail(
                     {"law": "dense-image", "carrier": rel.source.subset_from_mask(u)},
                     checked,

@@ -162,28 +162,29 @@ class Cover:
     def saturation_table(self) -> list[int]:
         """sat(m) for every mask m, in mask order; computed once per cover.
 
-        With b the lowest bit of v and s = sat(v - b), sat(v) is s when b
-        is in s and sat(s + b) otherwise.  Every chain therefore starts
-        from a saturated set plus one element: at most n * |F| distinct
-        starts for a frame F of saturated sets, and none of them goes
-        through ``saturate_mask`` or its cache on an axiom cover.  The
+        Built by doubling on the highest bit: with the table for the masks
+        below 2^k in hand, bit b = 2^k gives the next 2^k entries, since
+        sat(v + b) = sat(sat(v) + b) for v below 2^k.  That is sat(v) when
+        b is already in it, and ``_chain(sat(v), b)`` otherwise: a chain
+        from a saturated set plus one element, run once per distinct
+        saturated set s and bit, so at most n * |F| chains for a frame F
+        of saturated sets, none of them through ``saturate_mask`` or its
+        cache on an axiom cover.  An element in no premise adds itself
+        and fires nothing, so its bit is one pass ``s | b``.  The
         reference is ``oracle.saturation_table_full``.
         """
         if self._table is None:
             n = len(self.base)
             require_cap("saturation_table", n, "single")
             add = self._chain
-            inert = self._inert
             table = [self.saturate_mask(0)]
-            for v in range(1, 1 << n):
-                low = v & -v
-                s = table[v ^ low]
-                if s & low:
-                    table.append(s)
-                elif low & inert:
-                    table.append(s | low)
+            for k in range(n):
+                bit = 1 << k
+                if bit & self._inert:
+                    table += [s | bit for s in table]
                 else:
-                    table.append(add(s, low))
+                    step = {s: s if s & bit else add(s, bit) for s in set(table)}
+                    table += list(map(step.__getitem__, table))
             self._table = table
         return self._table
 

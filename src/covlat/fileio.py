@@ -53,9 +53,31 @@ def _expect(data, key, kind, where):
 
 
 def _mask_table(data, base: BaseSet, where: str, shape: str) -> dict[int, int]:
-    """The ``table`` field as a map from subset masks to subset masks."""
+    """The ``table`` field as a map from subset masks to subset masks.
+
+    A table of 2^n rows, all pairs of sides spelled as ``table_text``
+    prints them, sorted member lists, with no carrier twice, is read in
+    one bulk pass of dict lookups.  Any other table is read row by row
+    through ``BaseSet.mask_of``, which gives the same masks, and the first
+    bad row in row order is the error.
+    """
+    rows = _expect(data, "table", list, where)
+    if (
+        len(rows) == 1 << len(base)
+        and set(map(type, rows)) == {list}
+        and set(map(len, rows)) == {2}
+    ):
+        keys = base.by_sorted_members((), lambda name: (name,))
+        by_members = dict(zip(keys, range(len(keys))))
+        try:
+            table = {by_members[tuple(k)]: by_members[tuple(v)] for k, v in rows}
+        except (KeyError, TypeError):  # a side spelled otherwise, or unhashable
+            pass
+        else:
+            if len(table) == len(rows):
+                return table
     table = {}
-    for row in _expect(data, "table", list, where):
+    for row in rows:
         if not (isinstance(row, list) and len(row) == 2):
             raise InputError(f"{where}: table rows must be {shape} pairs")
         try:
@@ -198,7 +220,7 @@ def table_text(table) -> str:
     """
     base = table.parent.base
     items = {name: ",\n      " + encode_basestring(name) for name in base.elements}
-    bodies = base.by_sorted_members("", lambda body, name: body + items[name])
+    bodies = base.by_sorted_members("", items.__getitem__)
     sides = ["[" + body[1:] + "\n    ]" if body else "[]" for body in bodies]
     rows = [
         "[\n    " + sides[m] + ",\n    " + sides[out] + "\n  ]"

@@ -21,6 +21,7 @@ from .errors import (
     UpperBoundFailureError,
 )
 from .morphism import ValidatedMorphism
+from .sets import first_escape
 from .table import (
     InteriorTable,
     check_morphism_tables,
@@ -73,17 +74,13 @@ def is_i_continuous(
     """Preimage of a target interior is inside the interior of the
     preimage, for every target subobject."""
     check_morphism_tables(m, i_src, i_tgt)
-    rel = m.relation
-    checked = 0
-    for t in range(1 << len(rel.target)):
-        checked += 1
-        left = rel.preimage_minus_mask(i_tgt.table[t])
-        right = i_src.table[rel.preimage_minus_mask(t)]
-        if left & ~right:
-            return Verdict.fail(
-                {"carrier": rel.target.subset_from_mask(t)}, checked
-            )
-    return Verdict.ok(checked)
+    preimages = m.relation.preimages()
+    t = first_escape(
+        map(preimages.__getitem__, i_tgt.table), map(i_src.table.__getitem__, preimages)
+    )
+    if t is None:
+        return Verdict.ok(len(preimages))
+    return Verdict.fail({"carrier": m.relation.target.subset_from_mask(t)}, t + 1)
 
 
 # -- initial interior --------------------------------------------------------
@@ -99,7 +96,7 @@ def initial_interior_paper(
     """
     if not i_tgt.parent.same_cover(m.target_cover):
         raise MixedParentError("table does not live on the morphism's target")
-    table = pull_back(m, i_tgt, m.relation.direct_image_mask)
+    table = pull_back(m, i_tgt, m.relation.images())
     candidate = InteriorTable(m.source_cover, table)
     return candidate, verify_interior_axioms(candidate)
 
@@ -126,10 +123,13 @@ def initial_interior_corrected(
         raise MixedParentError("table does not live on the morphism's target")
     rel = m.relation
     full_src = (1 << len(rel.source)) - 1
-    pre_top = rel.preimage_minus_mask((1 << len(rel.target)) - 1)
+    full_tgt = (1 << len(rel.target)) - 1
+    pre_top = rel.preimage_minus_mask(full_tgt)
     if pre_top != full_src:
         raise UpperBoundFailureError(rel.source.subset_from_mask(pre_top))
-    table = pull_back(m, i_tgt, lambda t: corestriction_mask(m, t))
+    # corestriction_mask(m, t) for every carrier t, by mask: as t runs up,
+    # its complement runs down the images
+    table = pull_back(m, i_tgt, [full_tgt ^ img for img in reversed(rel.images())])
     result = InteriorTable(m.source_cover, table)
     axioms = verify_interior_axioms(result)
     if not axioms.passed:

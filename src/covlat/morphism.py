@@ -96,8 +96,30 @@ class Relation:
             raise BaseMismatchError("subset is not over the source base")
         return self.target.subset_from_mask(self.direct_image_mask(x.mask))
 
+    def images(self) -> list[int]:
+        """``direct_image_mask(x)`` for every source mask x, by mask."""
+        return _unions(self._image)
+
+    def preimages(self) -> list[int]:
+        """``preimage_minus_mask(w)`` for every target mask w, by mask."""
+        return _unions(self._preimage)
+
     def is_left_total(self) -> bool:
         return all(self._image)
+
+
+def _unions(per_element: list[int]) -> list[int]:
+    """For every mask over the positions of ``per_element``, by mask: the
+    union of the entries of its members.
+
+    Built by doubling: the masks below 2^(i+1) are those below 2^i and
+    then the same masks with element i added, so each element is one
+    bulk pass over the list so far.
+    """
+    out = [0]
+    for img in per_element:
+        out += [m | img for m in out]
+    return out
 
 
 def respects_covers(r: Relation, c1: Cover, c2: Cover) -> Verdict:

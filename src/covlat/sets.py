@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import repeat
+from operator import add, and_, or_
 from typing import Iterable, Iterator
 
 from .errors import BaseMismatchError
@@ -113,26 +114,26 @@ class BaseSet:
 
     def sorted_member_table(self) -> list[list[str]]:
         """``subset_from_mask(m).sorted_members()`` for every mask ``m``, by mask."""
-        return self.by_sorted_members([], lambda members, name: members + [name])
+        return self.by_sorted_members([], lambda name: [name])
 
-    def by_sorted_members(self, empty, add) -> list:
-        """For every mask m, by mask: ``empty`` extended by ``add(value, name)``
-        once per member name of m, in sorted order.
+    def by_sorted_members(self, empty, piece) -> list:
+        """For every mask m, by mask: ``empty + piece(a) + piece(b) + ...``
+        over the member names a, b, ... of m in sorted order.
 
-        Built once per call by doubling over sorted positions, so ``add``
-        runs 2^n times in all, and then read through each mask's image as
-        a mask over sorted positions.
+        Built once per call by doubling over sorted positions, so ``piece``
+        runs once per element and ``+`` 2^n times in all, and then read
+        through each mask's image as a mask over sorted positions.
         """
         names = sorted(self._elements)
         by_rank = [empty]  # indexed by masks over sorted positions
         for name in names:
-            by_rank += [add(value, name) for value in by_rank]
+            by_rank += list(map(add, by_rank, repeat(piece(name))))
         rank = {name: i for i, name in enumerate(names)}
         rank_masks = [0]  # each mask of this base, as a mask over sorted positions
         for e in self._elements:
             bit = 1 << rank[e]
             rank_masks += [r | bit for r in rank_masks]
-        return [by_rank[r] for r in rank_masks]
+        return list(map(by_rank.__getitem__, rank_masks))
 
     def all_subsets(self) -> Iterator[Subset]:
         """All subsets in increasing mask order (the canonical witness order)."""
@@ -237,25 +238,35 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - mask) & mask
 
 
+def first_escape(inner: Iterable[int], outer: Iterable[int]) -> int | None:
+    """The least position i with ``inner[i]`` not inside ``outer[i]``, or
+    None if there is none: one bulk pass, and a second up to i on a
+    failure."""
+    outer = list(outer)
+    joined = list(map(or_, inner, outer))
+    if joined == outer:
+        return None
+    return next(i for i, (j, o) in enumerate(zip(joined, outer)) if j != o)
+
+
 def meets_above(marked: Iterable[int], n: int) -> list[int]:
     """For every mask w over ``n`` bits, by mask: the intersection of the
     ``marked`` masks that contain w, or the full mask if none does.
 
-    The masks above w are w itself and those above w + b for each bit b
-    outside w, so in descending mask order the entry of w is its own (w
-    if marked, else the full mask) intersected with the entries of those
-    w + b: at most n steps per mask.
+    This is the superset ("zeta") transform under intersection.  Start
+    from each mask's own entry (w if marked, else the full mask); for each
+    bit b, every w without b then takes in the entry of w + b, so after
+    all n bits it has met every marked mask above it.  Each bit is one
+    bulk pass: with the bit at position 0, ``rows[0::2]`` and
+    ``rows[1::2]`` pair each w with w + b, and unshuffling the result
+    (the low half, then the high half) rotates the positions by one, so
+    the next bit comes to position 0 and n passes restore mask order.
     """
     full = (1 << n) - 1
-    out = [full] * (full + 1)
+    rows = [full] * (full + 1)
     for v in marked:
-        out[v] = v
-    for w in range(full, -1, -1):
-        acc = out[w]
-        free = full ^ w
-        while free:
-            low = free & -free
-            acc &= out[w | low]
-            free ^= low
-        out[w] = acc
-    return out
+        rows[v] = v
+    for _ in range(n):
+        high = rows[1::2]
+        rows = list(map(and_, rows[0::2], high)) + high
+    return rows

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 from .cover import Cover
 from .errors import ContinuityPreconditionError, MixedParentError, PartialTableError
 from .morphism import ValidatedMorphism
-from .sets import Subset, meets_above, submasks
+from .sets import Subset, first_escape, meets_above, submasks
 from .verdict import Verdict
 
 
@@ -39,7 +39,7 @@ class OperatorTable:
         size = 1 << len(parent.base)
         if set(mapping) != set(range(size)):
             raise PartialTableError("operator table must map every carrier exactly once")
-        return cls(parent, (mapping[m] for m in range(size)))
+        return cls(parent, map(mapping.__getitem__, range(size)))
 
     def __eq__(self, other) -> bool:
         return (
@@ -145,10 +145,11 @@ def fixed_carriers(t: OperatorTable) -> list[Subset]:
     return t.parent.base.subsets_from_masks(fixed_masks(t))
 
 
-def pull_back(m: ValidatedMorphism, tgt: OperatorTable, inner) -> list[int]:
-    """``preimage(tgt(inner(carrier)))`` for every source carrier of ``m``."""
-    rel = m.relation
-    return [rel.preimage_minus_mask(tgt.table[inner(s)]) for s in range(1 << len(rel.source))]
+def pull_back(m: ValidatedMorphism, tgt: OperatorTable, inner: list[int]) -> list[int]:
+    """``preimage(tgt(inner[carrier]))`` for every source carrier of ``m``;
+    ``inner`` gives a target carrier for each source carrier, by mask."""
+    pre = m.relation.preimages()
+    return list(map(pre.__getitem__, map(tgt.table.__getitem__, inner)))
 
 
 def fixed_preimages(
@@ -162,10 +163,11 @@ def fixed_preimages(
             f"morphism is not continuous for these tables: {cont.witness}"
         )
     rel = m.relation
+    preimages = rel.preimages()
     checked = 0
     for v in fixed_masks(tgt):
         checked += 1
-        pre = rel.preimage_minus_mask(v)
+        pre = preimages[v]
         if src.table[pre] != pre:
             return Verdict.fail({**label, "carrier": rel.target.subset_from_mask(v)}, checked)
     return Verdict.ok(checked)
@@ -199,52 +201,70 @@ def _pairs_below(larger: int) -> int:
     return total
 
 
+def _monotone(table) -> bool:
+    """Whether ``t(m - b) <= t(m)`` for every carrier m and bit b of m.
+
+    One bulk pass per bit, as in :func:`~covlat.sets.meets_above`: with
+    the bit at position 0, ``rows[0::2]`` and ``rows[1::2]`` pair each
+    m - b with m, and the unshuffled ``low + high`` brings the next bit
+    to position 0.
+    """
+    rows = list(table)
+    for _ in range(len(rows).bit_length() - 1):
+        low, high = rows[0::2], rows[1::2]
+        if list(map(operator.or_, low, high)) != high:
+            return False
+        rows = low + high
+    return True
+
+
 def scan_axioms(t: OperatorTable, label: str, extensive: bool, fixed: int) -> Verdict:
     """Axioms ``label`` 1-3, each failure with its least witness in mask order:
     extension (contraction unless ``extensive``), monotonicity, and fixing
     the carrier ``fixed``.
 
+    Extension is one bulk pass that names the least failing carrier.
     Monotonicity is checked on one-bit edges only, ``t(m - b) <= t(m)`` for
-    each bit b of m: every submask pair is joined by a chain of such edges.
-    The first carrier L with a failing edge is also the least carrier with
-    any failing submask: if every carrier below L passes and t(s) escapes
-    t(L) for some s inside L - b, then t(s) <= t(L - b), so the edge from
-    L - b escapes too.  Only the submasks of L are then scanned for the
-    least failing one, and ``checked`` counts, as ``oracle.scan_axioms_full``
-    does, every submask pair of the carriers below L.  A passing verdict
-    counts the 2^n extension cases, the n * 2^(n-1) edges and the fixed
-    carrier.
+    each bit b of m, in n bulk passes (:func:`_monotone`): every submask
+    pair is joined by a chain of such edges.  Only a table that fails them
+    is scanned edge by edge, in mask order.  The first carrier L with a
+    failing edge is also the least carrier with any failing submask: if
+    every carrier below L passes and t(s) escapes t(L) for some s inside
+    L - b, then t(s) <= t(L - b), so the edge from L - b escapes too.  Only
+    the submasks of L are then scanned for the least failing one, and
+    ``checked`` counts, as ``oracle.scan_axioms_full`` does, every submask
+    pair of the carriers below L.  A passing verdict counts the 2^n
+    extension cases, the n * 2^(n-1) edges and the fixed carrier.
     """
     base = t.parent.base
     table = t.table
-    checked = 0
-    for mask, out in enumerate(table):
-        checked += 1
-        if (mask & ~out) if extensive else (out & ~mask):
-            return Verdict.fail(
-                {"axiom": f"{label}1", "carrier": base.subset_from_mask(mask)}, checked
-            )
-    for larger, out_larger in enumerate(table):
-        bits = larger
-        while bits:
-            low = bits & -bits
-            if table[larger ^ low] & ~out_larger:
-                position, smaller = next(
-                    (i, s) for i, s in enumerate(submasks(larger), 1) if table[s] & ~out_larger
-                )
-                return Verdict.fail(
-                    {
-                        "axiom": f"{label}2",
-                        "smaller": base.subset_from_mask(smaller),
-                        "larger": base.subset_from_mask(larger),
-                    },
-                    checked + _pairs_below(larger) + position,
-                )
-            bits ^= low
+    size = len(table)
+    bad = first_escape(range(size), table) if extensive else first_escape(table, range(size))
+    if bad is not None:
+        return Verdict.fail({"axiom": f"{label}1", "carrier": base.subset_from_mask(bad)}, bad + 1)
+    checked = size
+    if not _monotone(table):
+        for larger, out_larger in enumerate(table):
+            bits = larger
+            while bits:
+                low = bits & -bits
+                if table[larger ^ low] & ~out_larger:
+                    position, smaller = next(
+                        (i, s) for i, s in enumerate(submasks(larger), 1) if table[s] & ~out_larger
+                    )
+                    return Verdict.fail(
+                        {
+                            "axiom": f"{label}2",
+                            "smaller": base.subset_from_mask(smaller),
+                            "larger": base.subset_from_mask(larger),
+                        },
+                        checked + _pairs_below(larger) + position,
+                    )
+                bits ^= low
     if table[fixed] != fixed:
         # counted as the full scan counts it: after all 3^n submask pairs
         return Verdict.fail(
             {"axiom": f"{label}3", "carrier": base.subset_from_mask(fixed)},
             checked + 3 ** len(base) + 1,
         )
-    return Verdict.ok(checked + len(base) * len(table) // 2 + 1)
+    return Verdict.ok(checked + len(base) * size // 2 + 1)

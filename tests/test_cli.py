@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -14,6 +16,7 @@ from covlat import (
     load_instance,
     parse_instance,
 )
+from covlat.cli import build_parser, main
 from covlat.fileio import operator_to_json, space_to_json, parse_space
 from conftest import DATA, cli_env, data_path, golden, run_cli
 
@@ -35,15 +38,44 @@ class TestLauncher:
         assert child_cap == "None"
 
     def test_cli_import_leaves_oracle_unloaded(self):
+        # nor dataclasses, whose import (with inspect) costs each start-up
         code = (
             "import sys, covlat.cli; print('covlat.oracle' in sys.modules); "
+            "print('dataclasses' in sys.modules); "
             "import covlat; print(covlat.EnumerationBudget.__module__)"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], cwd=DATA, env=cli_env(), capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["False", "covlat.oracle"]
+        assert proc.stdout.splitlines() == ["False", "False", "covlat.oracle"]
+
+    def test_main_calls_in_one_process_match_fresh_children(self, monkeypatch):
+        # the parser is built once per process and shared by every call,
+        # a usage error included
+        monkeypatch.chdir(DATA)
+        calls = [
+            ["check"],
+            ["check", "m3.json"],
+            ["frame", "chain.json"],
+            ["operator", "verify", "trivial_closure_free2.json"],
+            ["operator", "join", "trivial_closure_free2.json", "trivial_closure_free2.json"],
+            ["check", "free2.json"],
+        ]
+        for argv in calls:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            child = run_cli(*argv)
+            assert (code, out.getvalue(), err.getvalue()) == (
+                child.returncode,
+                child.stdout,
+                child.stderr,
+            ), argv
+        assert build_parser() is build_parser()
 
 
 class TestGoldenFiles:
@@ -256,6 +288,88 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == f"error: t.json: {message.format(shape=shape)}\n"
+
+    # Whole tables on the base [a, b] with one row changed: the rows that a
+    # table file spells as it is printed are read in bulk, any other table
+    # row by row, and both give the same masks and the same first error.
+    TABLES = {
+        "operator": [[[], []], [["a"], ["a", "b"]], [["b"], ["a", "b"]], [["a", "b"], ["a", "b"]]],
+        "instance": [[[], []], [["a"], ["a"]], [["b"], ["b"]], [["a", "b"], ["a", "b"]]],
+    }
+
+    @staticmethod
+    def run_table(tmp_path, kind, rows):
+        if kind == "operator":
+            (tmp_path / "cover.json").write_text(json.dumps({"base": ["a", "b"], "axioms": []}))
+            data = {"cover": "cover.json", "kind": "closure", "table": rows}
+            args = ["operator", "verify", "t.json"]
+        else:
+            data = {"base": ["a", "b"], "table": rows}
+            args = ["check", "t.json"]
+        (tmp_path / "t.json").write_text(json.dumps(data))
+        return run_cli(*args, cwd=tmp_path)
+
+    @pytest.mark.parametrize(
+        "index,row",
+        [(3, [["b", "a"], None]), (1, [["a"], "reversed"]), (1, [["a", "a"], None])],
+        ids=["unsorted-carrier", "unsorted-image", "name-repeated-in-side"],
+    )
+    @pytest.mark.parametrize("kind", ["operator", "instance"])
+    def test_unsorted_and_repeated_names_read_as_sorted(self, tmp_path, kind, index, row):
+        rows = [list(r) for r in self.TABLES[kind]]
+        carrier, image = row
+        image = rows[index][1][::-1] if image == "reversed" else rows[index][1]
+        rows[index] = [carrier, image]
+        sorted_proc = self.run_table(tmp_path, kind, self.TABLES[kind])
+        proc = self.run_table(tmp_path, kind, rows)
+        assert proc.returncode == sorted_proc.returncode == 0
+        assert (proc.stdout, proc.stderr) == (sorted_proc.stdout, sorted_proc.stderr)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda rows: rows[:3] + [[["a", "q"], ["a", "b"]]], "element 'q' is not in this base"),
+            (lambda rows: rows[:2] + [[["b"], 5]] + rows[3:], "'int' object is not iterable"),
+            (lambda rows: rows[:2] + [[None, ["a", "b"]]] + rows[3:],
+             "'NoneType' object is not iterable"),
+            (lambda rows: rows[:3] + [[["a", ["b"]], ["a", "b"]]], "element ['b'] is not in this base"),
+            (lambda rows: rows + [rows[1]], "carrier ['a'] listed twice"),
+            (lambda rows: rows + [[["b", "a"], ["a", "b"]]], "carrier ['a', 'b'] listed twice"),
+            (lambda rows: rows[:2] + [rows[1]] + rows[3:], "carrier ['a'] listed twice"),
+            (lambda rows: rows[:2] + [rows[2] + [["b"]]] + rows[3:], "table rows must be {shape} pairs"),
+            (lambda rows: [rows[0], [["q"], ["a"]]] + rows[2:] + [rows[2]],
+             "element 'q' is not in this base"),
+            (lambda rows: rows[:2] + [rows[1], [["q"], ["a"]]], "carrier ['a'] listed twice"),
+            (lambda rows: rows[:3], "{missing}"),
+        ],
+        ids=[
+            "unknown-name",
+            "int-side",
+            "null-side",
+            "unhashable-member",
+            "listed-twice",
+            "listed-twice-unsorted",
+            "listed-twice-one-missing",
+            "three-item-row",
+            "unknown-name-before-repeat",
+            "repeat-before-unknown-name",
+            "missing-carrier",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "kind,shape,missing",
+        [
+            ("operator", "[carrier, image]", "operator table must map every carrier exactly once"),
+            ("instance", "[subset, cover-set]",
+             "relation table must list every subset of the base exactly once"),
+        ],
+        ids=["operator", "instance"],
+    )
+    def test_whole_table_with_one_bad_row(self, tmp_path, kind, shape, missing, edit, message):
+        proc = self.run_table(tmp_path, kind, edit([list(r) for r in self.TABLES[kind]]))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: t.json: {message.format(shape=shape, missing=missing)}\n"
 
     # Malformed invocations: a wrong operand count, tables of both kinds, a
     # cover size the certificates cannot honour.

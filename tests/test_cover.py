@@ -309,6 +309,45 @@ class TestSaturationTable:
     def test_table_is_computed_once(self, m3_cover):
         assert m3_cover.saturation_table() is m3_cover.saturation_table()
 
+    @given(st.integers(0, 10_000), st.integers(0, 6), st.sampled_from(["space", "table"]))
+    @settings(max_examples=60, deadline=None)
+    def test_function_backed_covers_have_no_inert_bits(self, seed, size, kind):
+        # a function-backed cover chains every bit, through saturate_mask
+        rng = random.Random(seed)
+        if kind == "space":
+            c = random_space_cover(rng, size)
+        else:
+            source = random_cover(rng, size, 2 * size)
+            c = cover_from_table(source.base, dict(enumerate(saturation_table_full(source))))
+        assert c._inert == 0
+        assert c.saturation_table() == saturation_table_full(c)
+
+    @pytest.mark.parametrize("name", sorted(standard_suplattices()))
+    def test_suplattice_covers_have_no_inert_bits(self, name):
+        c = cover_from_suplattice(standard_suplattices()[name])
+        assert c._inert == 0
+        assert c.saturation_table() == saturation_table_full(c)
+
+    def test_each_chain_start_runs_once(self, monkeypatch):
+        # a watches the premise {a, b}; the other 11 elements are all
+        # equivalent, so the frame has 4 sets and most masks share a start
+        names = [chr(ord("a") + i) for i in range(12)]
+        axioms = [("a", ["a", "b"])] + [(x, [y]) for x in names[1:] for y in names[1:] if x != y]
+        c = Cover.from_axiom_names(BaseSet(names), axioms)
+        starts = []
+        chain = Cover._chain
+
+        def counted(self, s, added):
+            starts.append((s, added))
+            return chain(self, s, added)
+
+        monkeypatch.setattr(Cover, "_chain", counted)
+        table = c.saturation_table()
+        assert len(starts) == len(set(starts))
+        assert len(starts) <= 12 * len(set(table)) + 1  # n * |F| and sat(0)
+        monkeypatch.undo()
+        assert table == saturation_table_full(c)
+
 
 class TestFrame:
     def test_free_frame_is_full_powerset(self, free2):

@@ -57,6 +57,39 @@ class TestRelation:
         assert not Relation(free2.base, tgt, [("a", "x")]).is_left_total()
 
 
+class TestImageTables:
+    """`Relation.images()` and `preimages()`, built by doubling, against the
+    per-mask bit loops."""
+
+    @given(st.integers(0, 10_000), st.integers(0, 6), st.integers(0, 6), st.sampled_from([0, 0.2, 0.5, 1]))
+    @settings(max_examples=80, deadline=None)
+    def test_match_per_mask_loops(self, seed, n1, n2, density):
+        rng = random.Random(seed)
+        source = BaseSet([f"s{i}" for i in range(n1)])
+        target = BaseSet([f"t{i}" for i in range(n2)])
+        pairs = [(s, t) for s in source.elements for t in target.elements if rng.random() < density]
+        r = Relation(source, target, pairs)
+        assert r.images() == [r.direct_image_mask(x) for x in range(1 << n1)]
+        assert r.preimages() == [r.preimage_minus_mask(w) for w in range(1 << n2)]
+
+    def test_empty_and_not_left_total(self, free2):
+        tgt = BaseSet(["x", "y", "z"])
+        empty = Relation(free2.base, tgt, [])
+        assert empty.images() == [0] * 4
+        assert empty.preimages() == [0] * 8
+        partial = Relation(free2.base, tgt, [("b", "x"), ("b", "z")])
+        assert not partial.is_left_total()
+        assert partial.images() == [0, 0, 0b101, 0b101]
+        assert partial.preimages() == [0, 0b10, 0, 0b10, 0b10, 0b10, 0b10, 0b10]
+
+    def test_empty_bases(self):
+        none = BaseSet([])
+        one = BaseSet(["x"])
+        assert Relation(none, one, []).images() == [0]
+        assert Relation(none, one, []).preimages() == [0, 0]
+        assert Relation(one, none, []).images() == [0, 0]
+
+
 class TestRespectsCovers:
     def test_identity_respects(self, chain2):
         m = identity(chain2)

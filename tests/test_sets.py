@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covlat import BaseMismatchError, BaseSet
+from covlat import BaseMismatchError, BaseSet, ClosureTable, Cover
+from covlat.oracle import reflect_full
+from covlat.sets import first_escape, meets_above
+from covlat.table import fixed_masks
 
 # Names whose sorted order differs from any natural base order: mixed case,
 # digits, prefixes of one another, and non-ASCII letters that sort after "z".
@@ -88,3 +91,59 @@ class TestSubsetsFromMasks:
     def test_all_subsets_in_mask_order(self):
         base = BaseSet(["b", "a", "c"])
         assert [s.mask for s in base.all_subsets()] == list(range(8))
+
+
+class TestMeetsAbove:
+    """`meets_above`, n bulk passes, against `oracle.reflect_full`: the
+    marked masks are the carriers a table fixes."""
+
+    @staticmethod
+    def table_with_fixed(n, marked):
+        # every unmarked mask is sent elsewhere: to the full mask, or to the
+        # empty one if it is the full mask itself
+        full = (1 << n) - 1
+        table = [m if m in marked else (0 if m == full else full) for m in range(full + 1)]
+        return ClosureTable(Cover(BaseSet([f"e{i}" for i in range(n)])), table)
+
+    @given(st.integers(0, 10_000), st.integers(0, 6), st.sampled_from([0, 0.1, 0.5, 1]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reflect_full(self, seed, n, density):
+        rng = random.Random(seed)
+        marked = {m for m in range(1 << n) if rng.random() < density}
+        if n == 0:
+            marked = {0}  # the only table on an empty base fixes its carrier
+        t = self.table_with_fixed(n, marked)
+        assert set(fixed_masks(t)) == marked
+        assert meets_above(marked, n) == list(reflect_full(t).table)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_every_marking_at_n_at_most_one(self, n):
+        masks = range(1 << n)
+        for choice in range(1 << len(masks)):
+            marked = {m for m in masks if choice >> m & 1}
+            full = (1 << n) - 1
+            expected = [full] * (full + 1)
+            for w in masks:
+                for v in marked:
+                    if w & ~v == 0:
+                        expected[w] &= v
+            assert meets_above(marked, n) == expected
+            if n == 1 and marked:
+                assert meets_above(marked, n) == list(reflect_full(self.table_with_fixed(n, marked)).table)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_no_marked_masks(self, n):
+        assert meets_above([], n) == [(1 << n) - 1] * (1 << n)
+        if n:
+            t = ClosureTable(Cover(BaseSet([f"e{i}" for i in range(n)])), [m ^ 1 for m in range(1 << n)])
+            assert meets_above(fixed_masks(t), n) == list(reflect_full(t).table)
+
+
+class TestFirstEscape:
+    @given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=20))
+    def test_least_escaping_position(self, pairs):
+        inner = [a for a, _ in pairs]
+        outer = tuple(b for _, b in pairs)
+        expected = next((i for i, (a, b) in enumerate(pairs) if a & ~b), None)
+        assert first_escape(inner, outer) == expected
+        assert first_escape(iter(inner), iter(outer)) == expected

@@ -14,9 +14,15 @@ from covlat import (
     InteriorTable,
     BaseSet,
     Cover,
+    Relation,
+    ValidatedMorphism,
     coreflection,
+    corestriction_mask,
     discrete_closure,
     discrete_interior,
+    initial_interior_paper,
+    is_c_continuous,
+    is_i_continuous,
     join_interiors,
     meet_closures,
     reflection,
@@ -35,7 +41,7 @@ from covlat.oracle import (
     scan_axioms_full,
 )
 from covlat.sets import popcount
-from covlat.table import _pairs_below, conjugate, reflect, scan_axioms
+from covlat.table import _monotone, _pairs_below, conjugate, pull_back, reflect, scan_axioms
 
 
 def _any_table(rng, cover, cls):
@@ -207,3 +213,101 @@ def test_late_failing_carrier_reports_the_full_scan_count():
     assert v.witness["smaller"].sorted_members() == ["e1"]
     assert v.witness["larger"].mask == (1 << 13) - 2
     assert v.checked == 1_590_229
+
+
+# -- the bulk passes against their definitions ---------------------------------
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_axiom_check_matches_full_scan_on_every_small_table(n):
+    # every table of both kinds at n <= 2: passing ones and failures of
+    # each axiom, monotonicity at either bit
+    cover = Cover(BaseSet([f"e{i}" for i in range(n)]))
+    size = 1 << n
+    outcomes = set()
+    for code in range(size**size):
+        table = [code // size**m % size for m in range(size)]
+        for cls in (ClosureTable, InteriorTable):
+            t = cls(cover, table)
+            assert_same_axiom_verdict(t)
+            v = axiom_scans(t)[0]
+            outcomes.add((t.kind, v.witness and v.witness["axiom"]))
+    if n == 2:
+        assert outcomes == {
+            (kind, axiom)
+            for kind, label in (("closure", "C"), ("interior", "I"))
+            for axiom in (None, f"{label}1", f"{label}2", f"{label}3")
+        }
+
+
+@given(st.integers(0, 10_000), st.integers(0, 6), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_monotone_passes_match_one_bit_edges(seed, n, breaks):
+    rng = random.Random(seed)
+    size = 1 << n
+    table = [m | rng.randrange(size) & rng.randrange(size) for m in range(size)]
+    table = monotone_hull(table, n)
+    for _ in range(breaks):
+        table[rng.randrange(size)] = rng.randrange(size)
+    edges = all(
+        table[m ^ 1 << b] & ~table[m] == 0 for m in range(size) for b in range(n) if m >> b & 1
+    )
+    assert _monotone(table) == edges
+
+
+def monotone_hull(table, n):
+    """The least monotone table above ``table``: each entry joined with
+    those of its submasks."""
+    out = list(table)
+    for m in range(1 << n):
+        for b in range(n):
+            if m >> b & 1:
+                out[m] |= out[m ^ 1 << b]
+    return out
+
+
+def per_carrier_escape(carriers, inner, outer):
+    """The least carrier whose inner mask escapes its outer one, by loop."""
+    return next((t for t in carriers if inner(t) & ~outer(t)), None)
+
+
+@given(st.integers(0, 10_000), st.integers(0, 4), st.integers(0, 4), st.sampled_from([0, 0.3, 0.7]))
+@settings(max_examples=80, deadline=None)
+def test_continuity_and_pull_backs_match_per_carrier_loops(seed, n1, n2, density):
+    rng = random.Random(seed)
+    src, tgt = Cover(BaseSet([f"s{i}" for i in range(n1)])), Cover(BaseSet([f"t{i}" for i in range(n2)]))
+    pairs = [(a, b) for a in src.base.elements for b in tgt.base.elements if rng.random() < density]
+    rel = Relation(src.base, tgt.base, pairs)
+    m = ValidatedMorphism.build(rel, src, tgt)  # every relation respects free covers
+    img, pre = rel.direct_image_mask, rel.preimage_minus_mask
+    for cls in (ClosureTable, InteriorTable):
+        t_src, t_tgt = _any_table(rng, src, cls), _any_table(rng, tgt, cls)
+        if cls is ClosureTable:
+            v = is_c_continuous(m, t_src, t_tgt)
+            carriers = range(1 << n1)
+            bad = per_carrier_escape(
+                carriers, lambda t: img(t_src.table[t]), lambda t: t_tgt.table[img(t)]
+            )
+            base = src.base
+        else:
+            v = is_i_continuous(m, t_src, t_tgt)
+            carriers = range(1 << n2)
+            bad = per_carrier_escape(
+                carriers, lambda t: pre(t_tgt.table[t]), lambda t: t_src.table[pre(t)]
+            )
+            base = tgt.base
+        if bad is None:
+            assert v == v.ok(len(carriers))
+        else:
+            assert v == v.fail({"carrier": base.subset_from_mask(bad)}, bad + 1)
+        assert pull_back(m, t_tgt, rel.images()) == [
+            pre(t_tgt.table[img(s)]) for s in range(1 << n1)
+        ]
+    i_tgt = _any_table(rng, tgt, InteriorTable)
+    assert list(initial_interior_paper(m, i_tgt)[0].table) == [
+        pre(i_tgt.table[img(s)]) for s in range(1 << n1)
+    ]
+    full_tgt = (1 << n2) - 1
+    assert [full_tgt ^ x for x in reversed(rel.images())] == [
+        corestriction_mask(m, s) for s in range(1 << n1)
+    ]
