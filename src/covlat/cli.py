@@ -1,7 +1,14 @@
 """Command-line entry point.
 
-Exit codes (stable contract): 0 all requested checks pass, 1 a check
-failed, 2 input error, 3 cap or budget exceeded.
+Exit codes (stable contract); a library error carries its own code as
+``exit_code``:
+
+- 0: all requested checks pass;
+- 1: a check failed, or an initial lift it asked for does not exist:
+  ``ExtensionFailureError``, ``InitialContinuityDefectError``,
+  ``UpperBoundFailureError``;
+- 2: input error: any other ``CovlatError``;
+- 3: cap or budget exceeded: ``CapExceededError``.
 
 Each morphism and operator action takes a fixed number of file operands
 (``MORPHISM_OPERANDS``, ``OPERATOR_OPERANDS``); a wrong count is an input
@@ -16,15 +23,7 @@ import sys
 
 from . import closure as cl
 from . import interior as it
-from .errors import (
-    CapExceededError,
-    CovlatError,
-    ExtensionFailureError,
-    InitialContinuityDefectError,
-    InputError,
-    MorphismValidationError,
-    UpperBoundFailureError,
-)
+from .errors import CovlatError, InputError, MorphismValidationError
 from .fileio import (
     Workspace,
     dump_fields,
@@ -279,18 +278,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CapExceededError as exc:
-        _say(f"error: {exc}")
-        return 3
-    except (InputError, MorphismValidationError) as exc:
-        _say(f"error: {exc}")
-        return 2
-    except (ExtensionFailureError, InitialContinuityDefectError, UpperBoundFailureError) as exc:
-        _say(f"error: {exc}")
-        return 1
     except CovlatError as exc:
         _say(f"error: {exc}")
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 
 from .caps import cap_for, require_cap
 from .errors import BaseMismatchError, InputError
-from .sets import BaseSet, Subset, meets_above
+from .sets import BaseSet, Subset, meets_above, union_over
 from .verdict import Verdict
 
 
@@ -213,16 +213,7 @@ class Cover:
         if self._singletons is None:
             self._singletons = [self.saturate_mask(1 << x) for x in range(len(self.base))]
         sats = self._singletons
-        down_u = down_v = 0
-        while u:
-            low = u & -u
-            down_u |= sats[low.bit_length() - 1]
-            u ^= low
-        while v:
-            low = v & -v
-            down_v |= sats[low.bit_length() - 1]
-            v ^= low
-        return down_u & down_v
+        return union_over(sats, u) & union_over(sats, v)
 
     def down(self, u: Subset, v: Subset) -> Subset:
         self._check(u)
@@ -414,9 +405,7 @@ class ConcreteSpace:
 
     def check_b1(self) -> Verdict:
         """Every point must force at least one observable."""
-        forced = 0
-        for e in self._ext:
-            forced |= e
+        forced = union_over(self._ext, (1 << len(self._ext)) - 1)
         checked = 0
         for i, p in enumerate(self.points):
             checked += 1
@@ -456,12 +445,7 @@ def cover_from_concrete_space(space: ConcreteSpace) -> Cover:
     n = len(space.base)
 
     def saturation(mask: int) -> int:
-        ext_u = 0
-        m = mask
-        while m:
-            low = m & -m
-            ext_u |= ext[low.bit_length() - 1]
-            m ^= low
+        ext_u = union_over(ext, mask)
         out = 0
         for i in range(n):
             if ext[i] & ~ext_u == 0:
@@ -493,13 +477,7 @@ class FiniteSuplattice:
         while changed:
             changed = False
             for i in range(n):
-                m = up[i]
-                acc = m
-                mm = m
-                while mm:
-                    low = mm & -mm
-                    acc |= up[low.bit_length() - 1]
-                    mm ^= low
+                acc = union_over(up, up[i])  # up[i] holds i, so acc holds up[i]
                 if acc != up[i]:
                     up[i] = acc
                     changed = True

@@ -2,7 +2,13 @@
 
 
 class CovlatError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    ``exit_code`` is the command-line exit code the error ends a run with:
+    2, an input error, unless a subclass says otherwise.
+    """
+
+    exit_code = 2
 
 
 class BaseMismatchError(CovlatError):
@@ -11,6 +17,8 @@ class BaseMismatchError(CovlatError):
 
 class CapExceededError(CovlatError):
     """An enumeration-heavy operation was asked to run past its size cap."""
+
+    exit_code = 3
 
     def __init__(self, what, size, cap):
         super().__init__(f"{what}: base size {size} exceeds cap {cap}")
@@ -56,6 +64,8 @@ class ExtensionFailureError(CovlatError):
     ``witness`` (a carrier not contained in its round-trip image).
     """
 
+    exit_code = 1
+
     def __init__(self, witness):
         super().__init__(f"extension failure at carrier {witness.sorted_members()}")
         self.witness = witness
@@ -69,6 +79,8 @@ class InitialContinuityDefectError(CovlatError):
     closure table.  This is reported, never silently patched.
     """
 
+    exit_code = 1
+
     def __init__(self, witness):
         super().__init__(
             f"initial closure not continuous at carrier {witness.sorted_members()}"
@@ -79,6 +91,8 @@ class InitialContinuityDefectError(CovlatError):
 class UpperBoundFailureError(CovlatError):
     """Corrected initial interior failed: preimage of the full target base
     does not cover the source base, so the top-fixing axiom cannot hold."""
+
+    exit_code = 1
 
     def __init__(self, witness):
         super().__init__(

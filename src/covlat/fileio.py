@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 from json.encoder import encode_basestring
 
 from .cover import ConcreteSpace, Cover, cover_from_table
@@ -59,26 +60,28 @@ def _mask_table(data, base: BaseSet, where: str, shape: str) -> dict[int, int]:
     prints them, sorted member lists, with no carrier twice, is read in
     one bulk pass of dict lookups.  Any other table is read row by row
     through ``BaseSet.mask_of``, which gives the same masks, and the first
-    bad row in row order is the error.
+    bad row in row order is the error.  A side must be a list: a string
+    or an object, which ``mask_of`` would read as its characters or keys,
+    makes a bad row.
     """
     rows = _expect(data, "table", list, where)
-    if (
-        len(rows) == 1 << len(base)
-        and set(map(type, rows)) == {list}
-        and set(map(len, rows)) == {2}
-    ):
+    if len(rows) == 1 << len(base):
         keys = base.by_sorted_members((), lambda name: (name,))
         by_members = dict(zip(keys, range(len(keys))))
         try:
-            table = {by_members[tuple(k)]: by_members[tuple(v)] for k, v in rows}
-        except (KeyError, TypeError):  # a side spelled otherwise, or unhashable
+            # one type pass over the sides: a row that is not a list of two
+            # lists adds a side that is not a list, or fails to chain or unpack
+            if set(map(type, chain.from_iterable(rows))) == {list}:
+                table = {by_members[tuple(k)]: by_members[tuple(v)] for k, v in rows}
+                if len(table) == len(rows):
+                    return table
+        except (KeyError, TypeError, ValueError):  # a side spelled otherwise, a row not a pair
             pass
-        else:
-            if len(table) == len(rows):
-                return table
     table = {}
     for row in rows:
-        if not (isinstance(row, list) and len(row) == 2):
+        if not (isinstance(row, list) and len(row) == 2) or any(
+            isinstance(side, (str, dict)) for side in row
+        ):
             raise InputError(f"{where}: table rows must be {shape} pairs")
         try:
             key = base.mask_of(row[0])

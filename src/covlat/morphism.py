@@ -19,7 +19,7 @@ from .errors import (
     CompositionDefectError,
     MorphismValidationError,
 )
-from .sets import BaseSet, Subset
+from .sets import BaseSet, Subset, union_over, unions
 from .verdict import Verdict
 
 
@@ -69,13 +69,7 @@ class Relation:
     # -- image operators -----------------------------------------------------
 
     def preimage_minus_mask(self, w_mask: int) -> int:
-        out = 0
-        m = w_mask
-        while m:
-            low = m & -m
-            out |= self._preimage[low.bit_length() - 1]
-            m ^= low
-        return out
+        return union_over(self._preimage, w_mask)
 
     def preimage_minus(self, w: Subset) -> Subset:
         if w.base != self.target:
@@ -83,13 +77,7 @@ class Relation:
         return self.source.subset_from_mask(self.preimage_minus_mask(w.mask))
 
     def direct_image_mask(self, x_mask: int) -> int:
-        out = 0
-        m = x_mask
-        while m:
-            low = m & -m
-            out |= self._image[low.bit_length() - 1]
-            m ^= low
-        return out
+        return union_over(self._image, x_mask)
 
     def direct_image(self, x: Subset) -> Subset:
         if x.base != self.source:
@@ -98,28 +86,14 @@ class Relation:
 
     def images(self) -> list[int]:
         """``direct_image_mask(x)`` for every source mask x, by mask."""
-        return _unions(self._image)
+        return unions(self._image)
 
     def preimages(self) -> list[int]:
         """``preimage_minus_mask(w)`` for every target mask w, by mask."""
-        return _unions(self._preimage)
+        return unions(self._preimage)
 
     def is_left_total(self) -> bool:
         return all(self._image)
-
-
-def _unions(per_element: list[int]) -> list[int]:
-    """For every mask over the positions of ``per_element``, by mask: the
-    union of the entries of its members.
-
-    Built by doubling: the masks below 2^(i+1) are those below 2^i and
-    then the same masks with element i added, so each element is one
-    bulk pass over the list so far.
-    """
-    out = [0]
-    for img in per_element:
-        out += [m | img for m in out]
-    return out
 
 
 def respects_covers(r: Relation, c1: Cover, c2: Cover) -> Verdict:
@@ -265,13 +239,14 @@ def compose(t: ValidatedMorphism, s: ValidatedMorphism) -> ValidatedMorphism:
     """Relational composite of s (first) and t (second)."""
     if not s.target_cover.same_cover(t.source_cover):
         raise BaseMismatchError("morphisms do not chain: target of s is not source of t")
-    pairs = []
-    mid = s.target_cover.base
-    for a in s.relation.source.elements:
-        mids = s.relation.direct_image(s.relation.source.subset([a]))
-        out_mask = t.relation.direct_image_mask(mids.mask)
-        for w in t.relation.target.subset_from_mask(out_mask).members():
-            pairs.append((a, w))
+    # a is related to w iff w is in the t-image of the s-image of {a}
+    outs = map(t.relation.direct_image_mask, s.relation._image)
+    pairs = [
+        (a, w)
+        for a, out in zip(s.relation.source.elements, outs)
+        for j, w in enumerate(t.relation.target.elements)
+        if out >> j & 1
+    ]
     composite = Relation(s.relation.source, t.relation.target, pairs)
     verdict = respects_covers(composite, s.source_cover, t.target_cover)
     if not verdict.passed:

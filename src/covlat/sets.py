@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import repeat
 from operator import add, and_, or_
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BaseMismatchError
 
@@ -129,10 +129,8 @@ class BaseSet:
         for name in names:
             by_rank += list(map(add, by_rank, repeat(piece(name))))
         rank = {name: i for i, name in enumerate(names)}
-        rank_masks = [0]  # each mask of this base, as a mask over sorted positions
-        for e in self._elements:
-            bit = 1 << rank[e]
-            rank_masks += [r | bit for r in rank_masks]
+        # each mask of this base, as a mask over sorted positions
+        rank_masks = unions([1 << rank[e] for e in self._elements])
         return list(map(by_rank.__getitem__, rank_masks))
 
     def all_subsets(self) -> Iterator[Subset]:
@@ -195,7 +193,7 @@ class Subset:
         return self.mask != 0
 
     def __len__(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.members())
@@ -224,10 +222,6 @@ class Subset:
         return "{" + ",".join(self.members()) + "}"
 
 
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def submasks(mask: int) -> Iterator[int]:
     """All submasks of ``mask``, in increasing order."""
     sub = 0
@@ -236,6 +230,32 @@ def submasks(mask: int) -> Iterator[int]:
         if sub == mask:
             return
         sub = (sub - mask) & mask
+
+
+def union_over(per_element: Sequence[int], mask: int) -> int:
+    """The union of ``per_element[i]`` over the bits i of ``mask``: the
+    image of a subset under a relation given per element, or its down-set
+    given the singleton saturations."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= per_element[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def unions(per_element: Iterable[int]) -> list[int]:
+    """``union_over(per_element, m)`` for every mask m over the positions
+    of ``per_element``, by mask.
+
+    Built by doubling: the masks below 2^(i+1) are those below 2^i and
+    then the same masks with element i added, so each element is one
+    bulk pass over the list so far.
+    """
+    out = [0]
+    for img in per_element:
+        out += [m | img for m in out]
+    return out
 
 
 def first_escape(inner: Iterable[int], outer: Iterable[int]) -> int | None:

@@ -29,9 +29,6 @@ class Subobject:
     def complement(self) -> Subset:
         return self.carrier.complement()
 
-    def induced_axioms(self) -> list[tuple[str, Subset]]:
-        return induced_cover(self.parent, self.carrier)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subobject)

@@ -113,14 +113,14 @@ def pointwise(cls: type, family: Iterable[OperatorTable], meet: bool) -> Operato
 
 
 def compare(s: OperatorTable, t: OperatorTable) -> Verdict:
-    """Pointwise-order certificate with a witness carrier on failure."""
+    """Pointwise-order certificate with a witness carrier on failure: the
+    least carrier m with ``s(m)`` not inside ``t(m)``, found in one bulk
+    pass; ``checked`` counts the carriers up to it."""
     common_parent([s, t])
-    checked = 0
-    for m, (sm, tm) in enumerate(zip(s.table, t.table)):
-        checked += 1
-        if sm & ~tm:
-            return Verdict.fail({"carrier": s.parent.base.subset_from_mask(m)}, checked)
-    return Verdict.ok(checked)
+    m = first_escape(s.table, t.table)
+    if m is None:
+        return Verdict.ok(len(s.table))
+    return Verdict.fail({"carrier": s.parent.base.subset_from_mask(m)}, m + 1)
 
 
 def leq(s: OperatorTable, t: OperatorTable) -> bool:

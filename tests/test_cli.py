@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -16,6 +18,7 @@ from covlat import (
     load_instance,
     parse_instance,
 )
+from covlat import cli, errors
 from covlat.cli import build_parser, main
 from covlat.fileio import operator_to_json, space_to_json, parse_space
 from conftest import DATA, cli_env, data_path, golden, run_cli
@@ -159,6 +162,43 @@ class TestGoldenFiles:
         assert "['b', 'c']" in proc.stderr
 
 
+def _docstring_exit_codes():
+    """Error class name -> exit code, from the bullets of the cli docstring."""
+    codes = {}
+    for code, text in re.findall(r"^- (\d): (.*?)(?=^- |^$)", cli.__doc__, re.M | re.S):
+        for name in re.findall(r"``(\w+Error)``", text):
+            codes[name] = int(code)
+    return codes
+
+
+ERROR_CLASSES = [
+    cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, errors.CovlatError)
+]
+
+
+class TestErrorExitCodes:
+    def test_docstring_names_error_classes(self):
+        codes = _docstring_exit_codes()
+        assert codes["CovlatError"] == 2 and codes["CapExceededError"] == 3
+        assert set(codes) <= {cls.__name__ for cls in ERROR_CLASSES}
+
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_each_error_class_exits_with_its_documented_code(self, cls, monkeypatch, capsys):
+        codes = _docstring_exit_codes()
+        assert cls.exit_code == codes.get(cls.__name__, codes["CovlatError"])
+        exc = cls.__new__(cls)
+        Exception.__init__(exc, "boom")
+
+        def fail(args):
+            raise exc
+
+        parser = argparse.ArgumentParser()
+        parser.set_defaults(fn=fail)
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        assert main([]) == cls.exit_code
+        assert capsys.readouterr() == ("", "error: boom\n")
+
+
 class TestExitCodes:
     def test_pass_is_zero(self):
         assert run_cli("check", "free2.json").returncode == 0
@@ -264,9 +304,11 @@ class TestExitCodes:
             ([[1], []], "element 1 is not in this base"),
             ([5, []], "'int' object is not iterable"),
             ("a", "table rows must be {shape} pairs"),
+            ([["a"], "ab"], "table rows must be {shape} pairs"),
+            ([{"a": 1, "b": 2}, ["a"]], "table rows must be {shape} pairs"),
         ],
         ids=["unknown-carrier", "unknown-image", "list-image", "int-name", "int-carrier",
-             "string-row"],
+             "string-row", "string-side", "object-side"],
     )
     @pytest.mark.parametrize(
         "args,kind,shape",
@@ -341,6 +383,12 @@ class TestExitCodes:
              "element 'q' is not in this base"),
             (lambda rows: rows[:2] + [rows[1], [["q"], ["a"]]], "carrier ['a'] listed twice"),
             (lambda rows: rows[:3], "{missing}"),
+            (lambda rows: [rows[0], ["a", rows[1][1]]] + rows[2:], "table rows must be {shape} pairs"),
+            (lambda rows: rows[:3] + [[rows[3][0], {"a": 1, "b": 2}]], "table rows must be {shape} pairs"),
+            (lambda rows: [rows[0], [["q"], ["a"]], rows[2], [rows[3][0], "ab"]],
+             "element 'q' is not in this base"),
+            (lambda rows: rows[:3] + [5], "table rows must be {shape} pairs"),
+            (lambda rows: rows[:3] + ["ab"], "table rows must be {shape} pairs"),
         ],
         ids=[
             "unknown-name",
@@ -354,6 +402,11 @@ class TestExitCodes:
             "unknown-name-before-repeat",
             "repeat-before-unknown-name",
             "missing-carrier",
+            "string-side",
+            "object-side",
+            "unknown-name-before-string-side",
+            "int-row",
+            "string-row",
         ],
     )
     @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -247,3 +248,22 @@ class TestTerminal:
                 if not m.convergent.passed:
                     continue
                 assert equivalent(m, canon)
+
+
+class TestComposeByDefinition:
+    """`compose` against the composite by definition: (a, w) is a pair iff
+    some middle element m has (a, m) in s and (m, w) in t.  Every relation
+    respects free covers, so the empty and the non-left-total relations
+    between bases of at most 2 elements are all composed."""
+
+    @pytest.mark.parametrize("sizes", list(itertools.product(range(3), repeat=3)))
+    def test_every_relation_on_small_bases(self, sizes):
+        x, y, z = (Cover(BaseSet([f"{name}{i}" for i in range(n)])) for name, n in zip("xyz", sizes))
+        second = [ValidatedMorphism.build(r, y, z) for r in all_relations(y.base, z.base)]
+        for r1 in all_relations(x.base, y.base):
+            s = ValidatedMorphism.build(r1, x, y)
+            for t in second:
+                expected = {(a, w) for a, m in r1.pairs for m2, w in t.relation.pairs if m == m2}
+                composite = compose(t, s)
+                assert composite.relation.pairs == expected
+                assert (composite.source_cover, composite.target_cover) == (x, z)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from covlat import BaseMismatchError, BaseSet, ClosureTable, Cover
 from covlat.oracle import reflect_full
-from covlat.sets import first_escape, meets_above
+from covlat.sets import first_escape, meets_above, union_over, unions
 from covlat.table import fixed_masks
 
 # Names whose sorted order differs from any natural base order: mixed case,
@@ -147,3 +147,43 @@ class TestFirstEscape:
         expected = next((i for i, (a, b) in enumerate(pairs) if a & ~b), None)
         assert first_escape(inner, outer) == expected
         assert first_escape(iter(inner), iter(outer)) == expected
+
+
+def union_by_bits(per_element, mask):
+    """The union of the entries at the set bits of ``mask``, by definition."""
+    out = 0
+    for i, img in enumerate(per_element):
+        if mask >> i & 1:
+            out |= img
+    return out
+
+
+class TestUnions:
+    """`union_over` and `unions`, built by doubling, against the union of
+    the entries at the set bits of each mask."""
+
+    @given(st.integers(0, 10_000), st.integers(0, 6), st.integers(0, 8))
+    @settings(max_examples=80, deadline=None)
+    def test_match_per_bit_definition(self, seed, n, width):
+        rng = random.Random(seed)
+        full = (1 << width) - 1
+        per_element = [rng.choice([0, full, rng.getrandbits(width)]) for _ in range(n)]
+        table = unions(per_element)
+        assert len(table) == 1 << n
+        for m in range(1 << n):
+            assert union_over(per_element, m) == table[m] == union_by_bits(per_element, m)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_zero_and_full_entries(self, n):
+        full = (1 << n) - 1
+        singletons = [1 << i for i in range(n)]
+        assert unions(singletons) == list(range(1 << n))
+        assert [union_over(singletons, m) for m in range(1 << n)] == list(range(1 << n))
+        assert unions([0] * n) == [0] * (1 << n)
+        assert unions([full] * n) == [0] + [full] * full
+        assert union_over([0] * n, full) == 0
+        assert union_over([full] * n, 0) == 0
+
+    def test_empty_list(self):
+        assert unions([]) == [0]
+        assert union_over([], 0) == 0

@@ -156,4 +156,3 @@ class TestSubobjectLattice:
         a = Subobject(chain2, chain2.base.subset(["a"]))
         assert a.complement.sorted_members() == ["b"]
         assert a == Subobject(chain2, chain2.base.subset(["a"]))
-        assert a.induced_axioms() == induced_cover(chain2, a.carrier)

@@ -40,8 +40,8 @@ from covlat.oracle import (
     saturation_table_full,
     scan_axioms_full,
 )
-from covlat.sets import popcount
-from covlat.table import _monotone, _pairs_below, conjugate, pull_back, reflect, scan_axioms
+from covlat.table import _monotone, _pairs_below, compare, conjugate, pull_back, reflect, scan_axioms
+from covlat.verdict import Verdict
 
 
 def _any_table(rng, cover, cls):
@@ -194,7 +194,7 @@ def test_passing_check_counts_one_bit_edges():
 
 def test_pairs_below_counts_the_submask_pairs_of_smaller_carriers():
     for larger in range(1 << 10):
-        assert _pairs_below(larger) == sum(1 << popcount(m) for m in range(larger))
+        assert _pairs_below(larger) == sum(1 << m.bit_count() for m in range(larger))
 
 
 def late_carrier_closure(n):
@@ -311,3 +311,33 @@ def test_continuity_and_pull_backs_match_per_carrier_loops(seed, n1, n2, density
     assert [full_tgt ^ x for x in reversed(rel.images())] == [
         corestriction_mask(m, s) for s in range(1 << n1)
     ]
+
+
+def compare_by_carrier(s, t):
+    """The pointwise-order verdict by one loop step per carrier."""
+    checked = 0
+    for m, (sm, tm) in enumerate(zip(s.table, t.table)):
+        checked += 1
+        if sm & ~tm:
+            return Verdict.fail({"carrier": s.parent.base.subset_from_mask(m)}, checked)
+    return Verdict.ok(checked)
+
+
+@given(st.integers(0, 10_000), st.integers(0, 5), st.sampled_from(["random", "above", "one-below"]))
+@settings(max_examples=80, deadline=None)
+def test_compare_matches_per_carrier_loop(seed, n, how):
+    rng = random.Random(seed)
+    cover = Cover(BaseSet([f"e{i}" for i in range(n)]))
+    size = 1 << n
+    s = [rng.getrandbits(n) for _ in range(size)]
+    t = [rng.getrandbits(n) for _ in range(size)]
+    if how != "random":
+        t = [a | b for a, b in zip(s, t)]  # t above s at every carrier
+    if how == "one-below" and n:
+        m = rng.randrange(size)
+        t[m] = 0
+        s[m] |= 1
+    for cls in (ClosureTable, InteriorTable):
+        left, right = cls(cover, s), cls(cover, t)
+        assert compare(left, right) == compare_by_carrier(left, right)
+        assert compare(right, left) == compare_by_carrier(right, left)
