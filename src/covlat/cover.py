@@ -31,7 +31,7 @@ class CoverAxioms:
     def __init__(self, base: BaseSet, pairs: Iterable[tuple[str, Iterable[str]]]):
         seen = set()
         for head, body in pairs:
-            seen.add((base.index(head), base.subset(body).mask))
+            seen.add((base.index(head), base.mask_of(body)))
         self.base = base
         self.pairs = tuple(sorted(seen))
 
@@ -82,6 +82,7 @@ class Cover:
         self._cache: dict[int, int] = {}
         self._singletons: list[int] | None = None
         self._table: list[int] | None = None
+        self._minimal: list[list[int]] | None = None
         self._inert = 0
         if saturation_fn is None:
             # Compiled form: (head bit index, premise mask) plus, per element,
@@ -229,22 +230,27 @@ class Cover:
         sat(v) and in no sat(v - b) for b in v.  Those candidates only
         shrink as bits b are tried, so the scan of v stops once none is
         left.  The reference is ``oracle.minimal_covers_full``.
+
+        Computed once per cover, like the saturation table: every caller
+        shares the same lists and must not mutate them.
         """
-        n = len(self.base)
-        require_cap("minimal_covers", n, "single")
-        sat = self.saturation_table()
-        minimal: list[list[int]] = [[] for _ in range(n)]
-        for v, fresh in enumerate(sat):
-            m = v
-            while m and fresh:
-                low = m & -m
-                fresh &= ~sat[v ^ low]
-                m ^= low
-            while fresh:
-                low = fresh & -fresh
-                minimal[low.bit_length() - 1].append(v)
-                fresh ^= low
-        return minimal
+        if self._minimal is None:
+            n = len(self.base)
+            require_cap("minimal_covers", n, "single")
+            sat = self.saturation_table()
+            minimal: list[list[int]] = [[] for _ in range(n)]
+            for v, fresh in enumerate(sat):
+                m = v
+                while m and fresh:
+                    low = m & -m
+                    fresh &= ~sat[v ^ low]
+                    m ^= low
+                while fresh:
+                    low = fresh & -fresh
+                    minimal[low.bit_length() - 1].append(v)
+                    fresh ^= low
+            self._minimal = minimal
+        return self._minimal
 
     def is_convergent(self) -> Verdict:
         """Check that covering two subsets implies covering their down-set.

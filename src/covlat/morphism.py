@@ -131,7 +131,14 @@ def respects_covers(r: Relation, c1: Cover, c2: Cover) -> Verdict:
 
 
 def _convergence_verdict(r: Relation, c1: Cover, c2: Cover) -> Verdict:
-    """Totality-style condition plus the singleton-pair down-set condition."""
+    """Totality-style condition plus the singleton-pair down-set condition.
+
+    The down-set of a union is the union of down-sets, so the source meet
+    of pre({u}) and pre({v}) is the intersection of two of the n2 down-sets
+    ``down[u]``, and the target meet of {u} and {v} is
+    ``sat2[u] & sat2[v]``; both are built before the pair loop.  The
+    per-pair reference is ``oracle.convergence_singletons_full``.
+    """
     n1 = len(c1.base)
     n2 = len(c2.base)
     checked = 1
@@ -139,14 +146,14 @@ def _convergence_verdict(r: Relation, c1: Cover, c2: Cover) -> Verdict:
     pre_all = r.preimage_minus_mask((1 << n2) - 1)
     if full1 & ~c1.saturate_mask(pre_all):
         return Verdict.fail({"condition": "source covered by preimage of target"}, checked)
+    sat1 = [c1.saturate_mask(1 << x) for x in range(n1)]
+    sat2 = [c2.saturate_mask(1 << x) for x in range(n2)]
+    down = [union_over(sat1, pre) for pre in r._preimage]
     for u in range(n2):
         for v in range(n2):
             checked += 1
-            pre_u = r._preimage[u]
-            pre_v = r._preimage[v]
-            left = c1.down_mask(pre_u, pre_v)
-            down_uv = c2.down_mask(1 << u, 1 << v)
-            right = c1.saturate_mask(r.preimage_minus_mask(down_uv))
+            left = down[u] & down[v]
+            right = c1.saturate_mask(r.preimage_minus_mask(sat2[u] & sat2[v]))
             if left & ~right:
                 return Verdict.fail(
                     {

@@ -16,7 +16,6 @@ import itertools
 import random
 import string
 import time
-from dataclasses import dataclass, field
 
 from .caps import require_cap
 from .closure import (
@@ -58,13 +57,22 @@ from .table import OperatorTable
 from .verdict import Verdict, _jsonify
 
 
-@dataclass(frozen=True)
 class EnumerationBudget:
-    """Bounds and seed for certification runs; deterministic given the seed."""
+    """Bounds and seed for certification runs; deterministic given the seed.
 
-    max_cover_size: int = 3
-    samples: int = 30
-    seed: int = 0
+    Immutable; a plain class rather than a frozen dataclass because the
+    ``dataclasses`` import costs every ``covlat certify`` start-up.
+    """
+
+    __slots__ = ("max_cover_size", "samples", "seed")
+
+    def __init__(self, max_cover_size: int = 3, samples: int = 30, seed: int = 0):
+        object.__setattr__(self, "max_cover_size", max_cover_size)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)
@@ -77,15 +85,28 @@ class EnumerationBudget:
         }
 
 
-@dataclass
 class Certificate:
-    claim_id: str
-    bounds: dict
-    passed: bool
-    witness: dict | None
-    instances: int
-    runtime_s: float = field(default=0.0)
-    skipped: int = 0  # samples drawn but not usable as an instance
+    """The outcome of one certified claim, with its bounds and cost."""
+
+    __slots__ = ("claim_id", "bounds", "passed", "witness", "instances", "runtime_s", "skipped")
+
+    def __init__(
+        self,
+        claim_id: str,
+        bounds: dict,
+        passed: bool,
+        witness: dict | None,
+        instances: int,
+        runtime_s: float = 0.0,
+        skipped: int = 0,  # samples drawn but not usable as an instance
+    ):
+        self.claim_id = claim_id
+        self.bounds = bounds
+        self.passed = passed
+        self.witness = witness
+        self.instances = instances
+        self.runtime_s = runtime_s
+        self.skipped = skipped
 
     def to_json(self) -> dict:
         return {
@@ -533,6 +554,34 @@ def convergent_morphism_full(r: Relation, c1: Cover, c2: Cover) -> Verdict:
                         "condition": "down-set",
                         "u": c2.base.subset_from_mask(u),
                         "v": c2.base.subset_from_mask(v),
+                    },
+                    checked,
+                )
+    return Verdict.ok(checked)
+
+
+def convergence_singletons_full(r: Relation, c1: Cover, c2: Cover) -> Verdict:
+    """The singleton-pair convergence conditions with one ``down_mask`` and
+    one ``preimage_minus_mask`` per pair; the reference for
+    ``morphism._convergence_verdict``."""
+    n1 = len(c1.base)
+    n2 = len(c2.base)
+    checked = 1
+    full1 = (1 << n1) - 1
+    if full1 & ~c1.saturate_mask(r.preimage_minus_mask((1 << n2) - 1)):
+        return Verdict.fail({"condition": "source covered by preimage of target"}, checked)
+    for u in range(n2):
+        for v in range(n2):
+            checked += 1
+            left = c1.down_mask(r._preimage[u], r._preimage[v])
+            down_uv = c2.down_mask(1 << u, 1 << v)
+            right = c1.saturate_mask(r.preimage_minus_mask(down_uv))
+            if left & ~right:
+                return Verdict.fail(
+                    {
+                        "condition": "down-set",
+                        "u": c2.base.elements[u],
+                        "v": c2.base.elements[v],
                     },
                     checked,
                 )

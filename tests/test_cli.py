@@ -11,6 +11,7 @@ import pytest
 
 import covlat
 from covlat import (
+    Cover,
     InputError,
     Workspace,
     dump_json,
@@ -45,13 +46,33 @@ class TestLauncher:
         code = (
             "import sys, covlat.cli; print('covlat.oracle' in sys.modules); "
             "print('dataclasses' in sys.modules); "
-            "import covlat; print(covlat.EnumerationBudget.__module__)"
+            "import covlat; print(covlat.EnumerationBudget.__module__); "
+            "import covlat.oracle; print('dataclasses' in sys.modules)"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], cwd=DATA, env=cli_env(), capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["False", "False", "covlat.oracle"]
+        assert proc.stdout.splitlines() == ["False", "False", "covlat.oracle", "False"]
+
+    def test_compose_scans_the_minimal_covers_of_its_cover_once(self, monkeypatch, capsys):
+        # both operands and the composite run on free2.json: three
+        # respects_covers calls, one scan
+        monkeypatch.chdir(DATA)
+        calls, scans = [], []
+        minimal_covers = Cover.minimal_covers
+
+        def counted(self):
+            calls.append(self)
+            if self._minimal is None:
+                scans.append(self)
+            return minimal_covers(self)
+
+        monkeypatch.setattr(Cover, "minimal_covers", counted)
+        assert main(["morphism", "compose", "id2.json", "id2.json"]) == 0
+        assert len(calls) == 3 and len(scans) == 1
+        monkeypatch.undo()
+        assert capsys.readouterr().out == run_cli("morphism", "compose", "id2.json", "id2.json").stdout
 
     def test_main_calls_in_one_process_match_fresh_children(self, monkeypatch):
         # the parser is built once per process and shared by every call,

@@ -23,12 +23,16 @@ from covlat import (
 )
 from covlat.oracle import (
     all_relations,
+    convergence_singletons_full,
     convergent_morphism_full,
+    enumerate_covers,
+    minimal_covers_full,
     random_cover,
     respects_covers_every_cover,
     respects_covers_full,
     standard_suplattices,
 )
+from covlat.morphism import _convergence_verdict
 from conftest import assert_same_verdict, random_space_cover
 
 
@@ -175,6 +179,52 @@ class TestConvergentMorphism:
                 continue
             m = ValidatedMorphism.build(r, c1, c2)
             assert m.convergent.passed == convergent_morphism_full(r, c1, c2).passed
+
+
+class TestConvergenceSingletons:
+    """The hoisted singleton-pair loop against the per-pair twin: the same
+    verdict, witness and ``checked``, failures included."""
+
+    @staticmethod
+    def assert_twins_agree(c1, c2, relations):
+        outcomes = set()
+        for r in relations:
+            fast = _convergence_verdict(r, c1, c2)
+            assert fast == convergence_singletons_full(r, c1, c2)
+            outcomes.add(fast.witness["condition"] if fast.witness else "pass")
+        return outcomes
+
+    def test_every_relation_between_covers_up_to_two_elements(self):
+        # covers with the same saturation table give the same verdicts
+        covers = list(
+            {(len(c.base), tuple(c.saturation_table())): c for c in enumerate_covers(2)}.values()
+        )
+        outcomes = set()
+        for c1, c2 in itertools.product(covers, repeat=2):
+            outcomes |= self.assert_twins_agree(c1, c2, all_relations(c1.base, c2.base))
+        assert outcomes == {"pass", "source covered by preimage of target", "down-set"}
+
+    def test_seeded_three_element_covers(self):
+        outcomes = set()
+        for seed in range(8):
+            rng = random.Random(500 + seed)
+            c1 = random_cover(rng, 3)
+            c2 = random_cover(rng, 3)
+            relations = [random_relation(rng, c1, c2) for _ in range(64)]
+            outcomes |= self.assert_twins_agree(c1, c2, relations)
+        assert "down-set" in outcomes and "pass" in outcomes
+
+
+class TestMinimalCoversOncePerCover:
+    def test_shared_and_unchanged_by_respects_covers(self):
+        rng = random.Random(7)
+        c1 = random_cover(rng, 3)
+        c = random_cover(rng, 4, 8)
+        first = c.minimal_covers()
+        for _ in range(50):
+            respects_covers(random_relation(rng, c1, c), c1, c)
+        assert c.minimal_covers() is first
+        assert first == minimal_covers_full(c)
 
 
 class TestEquivalence:

@@ -113,6 +113,20 @@ class TestCertificates:
     def test_bounds_name_only_what_is_used(self):
         assert set(EnumerationBudget().to_json()) == {"max_cover_size", "samples", "seed"}
 
+    def test_budget_defaults_keywords_and_immutability(self):
+        assert EnumerationBudget().to_json() == {"max_cover_size": 3, "samples": 30, "seed": 0}
+        budget = EnumerationBudget(seed=4, max_cover_size=2)
+        assert (budget.max_cover_size, budget.samples, budget.seed) == (2, 30, 4)
+        with pytest.raises(AttributeError):
+            budget.seed = 5
+        assert budget.seed == 4
+
+    def test_certificate_defaults_and_keywords(self):
+        cert = Certificate("c", {}, passed=True, witness=None, instances=2)
+        assert (cert.runtime_s, cert.skipped) == (0.0, 0)
+        cert.skipped = 3
+        assert cert.to_json()["skipped"] == 3
+
     def test_certificate_json_shape(self):
         cert = certify_saturation(EnumerationBudget(samples=1))
         js = cert.to_json()
