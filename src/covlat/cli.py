@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 from . import closure as cl
@@ -53,15 +54,23 @@ def _emit(report) -> None:
 
 
 def dot_diagram(nodes, edges) -> str:
-    """Graphviz digraph: one node per set, edges from smaller to larger."""
+    """Graphviz digraph: one node per set, edges from smaller to larger.
+
+    A node's id is the set's sorted member names joined by commas, each
+    name with its backslashes, quotes and commas escaped by a backslash,
+    so distinct sets get distinct ids; its label is the set as ``{a,b}``.
+    """
+
+    def names(s, special):
+        return ",".join(re.sub(special, r"\\\g<0>", name) for name in s.sorted_members())
 
     def node_id(s):
-        return '"' + ",".join(s.sorted_members()) + '"'
+        return '"' + names(s, r'[\\",]') + '"'
 
     lines = ["digraph {", "  rankdir=BT;"]
     for s in nodes:
-        label = "{" + ",".join(s.sorted_members()) + "}"
-        lines.append(f"  {node_id(s)} [label=\"{label}\"];")
+        label = '"{' + names(s, r'[\\"]') + '}"'
+        lines.append(f"  {node_id(s)} [label={label}];")
     for lo, hi in edges:
         lines.append(f"  {node_id(lo)} -> {node_id(hi)};")
     lines.append("}")
@@ -93,8 +102,11 @@ def cmd_frame(args) -> int:
     frame = cover.saturated_sets()
     edges = frame.hasse_edges()
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot_diagram(frame.sets, edges))
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(dot_diagram(frame.sets, edges))
+        except OSError as exc:
+            raise InputError(f"cannot write {args.dot}: {exc}") from exc
         _say(f"wrote {args.dot}")
     _say(f"{len(frame.sets)} saturated sets")
     print(frame_text(args.instance, frame, edges))
@@ -167,8 +179,6 @@ def cmd_operator(args) -> int:
         m = _morphism(ws, paths[0])
         paths = paths[1:]
     tables = [ws.operator_file(path, args.kind) for path in paths]
-    if len({t.kind for t in tables}) > 1:
-        raise InputError("cannot combine closure and interior tables")
     table = tables[0]
     closure = table.kind == "closure"
 

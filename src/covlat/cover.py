@@ -1,4 +1,4 @@
-"""Axiom-generated cover relations on finite bases.
+"""Cover relations on finite bases, given by axioms or by a table.
 
 A cover is presented by generating axioms ``(a, V)``: the relation
 ``a covers U`` is the least one containing the axioms that is reflexive
@@ -8,18 +8,19 @@ lists, memoized per subset.  Whole-powerset consumers read one
 saturation table per cover instead, built by the same worklist from
 saturated sets plus one element.
 
-Also here: ingestion of concrete topological spaces (points, observables
-and a forcing relation), covers induced by finite suplattices, and
-acceptance of user-supplied full relation tables.
+A cover may instead be given by that table itself.  Concrete topological
+spaces (points, observables and a forcing relation), finite suplattices
+and user-supplied full relation tables each build their cover's table
+here.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .caps import cap_for, require_cap
 from .errors import BaseMismatchError, InputError
-from .sets import BaseSet, Subset, meets_above, union_over
+from .sets import BaseSet, Subset, meets_above, union_over, unions
 from .verdict import Verdict
 
 
@@ -63,45 +64,53 @@ class CoverAxioms:
 class Cover:
     """A finite base with a memoized saturation operator.
 
-    Either axiom-generated (the normal case) or backed by an explicit
-    saturation function (concrete spaces, suplattices, validated tables);
-    the function must be a closure operator on the powerset of the base.
+    Given by generating axioms (the normal case) or by its saturation
+    table, sat(m) for every mask m (concrete spaces, suplattices,
+    validated relation tables), not both; a given table must be a
+    closure operator on the powerset of the base.
     """
 
     def __init__(
         self,
         base: BaseSet,
         axioms: CoverAxioms | None = None,
-        saturation_fn: Callable[[int], int] | None = None,
+        table: Iterable[int] | None = None,
     ):
         if axioms is not None and axioms.base != base:
             raise BaseMismatchError("axioms refer to a different base")
         self.base = base
         self.axioms = axioms if axioms is not None else CoverAxioms(base, ())
-        self._saturation_fn = saturation_fn
         self._cache: dict[int, int] = {}
         self._singletons: list[int] | None = None
-        self._table: list[int] | None = None
         self._minimal: list[list[int]] | None = None
         self._inert = 0
-        if saturation_fn is None:
-            # Compiled form: (head bit index, premise mask) plus, per element,
-            # the axioms whose premise mentions it.
-            self._compiled = self.axioms.pairs
-            watchers: list[list[int]] = [[] for _ in range(len(base))]
-            # heads of the empty-premise axioms: in every saturated set
-            self._facts = 0
-            for ax_id, (head, prem) in enumerate(self._compiled):
-                if not prem:
-                    self._facts |= 1 << head
-                m = prem
-                while m:
-                    low = m & -m
-                    watchers[low.bit_length() - 1].append(ax_id)
-                    m ^= low
-            self._watchers = watchers
-            # elements in no premise: adding one to a saturated set fires nothing
-            self._inert = sum(1 << x for x, ws in enumerate(watchers) if not ws)
+        self._given = self._table = None
+        if table is not None:
+            if axioms is not None:
+                raise InputError("a cover is given by axioms or by a table, not both")
+            self._given = self._table = list(table)
+            if len(self._table) != 1 << len(base):
+                raise InputError(
+                    f"saturation table has {len(self._table)} entries, expected {1 << len(base)}"
+                )
+            return
+        # Compiled form: (head bit index, premise mask) plus, per element,
+        # the axioms whose premise mentions it.
+        self._compiled = self.axioms.pairs
+        watchers: list[list[int]] = [[] for _ in range(len(base))]
+        # heads of the empty-premise axioms: in every saturated set
+        self._facts = 0
+        for ax_id, (head, prem) in enumerate(self._compiled):
+            if not prem:
+                self._facts |= 1 << head
+            m = prem
+            while m:
+                low = m & -m
+                watchers[low.bit_length() - 1].append(ax_id)
+                m ^= low
+        self._watchers = watchers
+        # elements in no premise: adding one to a saturated set fires nothing
+        self._inert = sum(1 << x for x, ws in enumerate(watchers) if not ws)
 
     @classmethod
     def from_axiom_names(
@@ -110,12 +119,12 @@ class Cover:
         return cls(base, CoverAxioms(base, pairs))
 
     def same_cover(self, other: "Cover") -> bool:
-        """Equality for axiom-generated covers; identity otherwise."""
-        if self is other:
-            return True
-        if self._saturation_fn is not None or other._saturation_fn is not None:
-            return False
-        return self.base == other.base and self.axioms == other.axioms
+        """Equal bases, axioms and given saturation tables."""
+        return self is other or (
+            self.base == other.base
+            and self.axioms == other.axioms
+            and self._given == other._given
+        )
 
     # -- saturation ----------------------------------------------------------
 
@@ -123,10 +132,8 @@ class Cover:
         cached = self._cache.get(mask)
         if cached is not None:
             return cached
-        if self._saturation_fn is not None:
-            result = self._saturation_fn(mask)
-        else:
-            result = self._chain(0, mask | self._facts)
+        table = self._table
+        result = table[mask] if table is not None else self._chain(0, mask | self._facts)
         self._cache[mask] = result
         return result
 
@@ -138,11 +145,8 @@ class Cover:
         Only axioms watching an added element or a later head can then
         fire.  Elements enter ``result`` as they are queued, so when the
         last-added element of a premise is popped the whole premise is in
-        and the axiom fires.  On a function-backed cover this is one
-        ``saturate_mask`` call.
+        and the axiom fires.
         """
-        if self._saturation_fn is not None:
-            return self.saturate_mask(s | added)
         compiled = self._compiled
         watchers = self._watchers
         result = s | added
@@ -161,7 +165,8 @@ class Cover:
         return result
 
     def saturation_table(self) -> list[int]:
-        """sat(m) for every mask m, in mask order; computed once per cover.
+        """sat(m) for every mask m, in mask order: the given table, or
+        computed once per axiom cover.
 
         Built by doubling on the highest bit: with the table for the masks
         below 2^k in hand, bit b = 2^k gives the next 2^k entries, since
@@ -443,22 +448,16 @@ class ConcreteSpace:
 def cover_from_concrete_space(space: ConcreteSpace) -> Cover:
     """The induced cover: a covers U iff every point forcing a forces U.
 
-    Realized by a direct saturation override (a valid closure operator)
-    rather than axiom synthesis, which would need exponentially many axioms.
+    Given by its saturation table rather than by axioms, which would need
+    exponentially many: sat(U) holds the a whose extent lies in the
+    extent of U, computed once per distinct extent.
     """
-
     ext = space._ext
     n = len(space.base)
-
-    def saturation(mask: int) -> int:
-        ext_u = union_over(ext, mask)
-        out = 0
-        for i in range(n):
-            if ext[i] & ~ext_u == 0:
-                out |= 1 << i
-        return out
-
-    return Cover(space.base, saturation_fn=saturation)
+    require_cap("cover_from_concrete_space", n, "single")
+    extents = unions(ext)
+    below = {e: sum(1 << a for a in range(n) if ext[a] & ~e == 0) for e in set(extents)}
+    return Cover(space.base, table=map(below.__getitem__, extents))
 
 
 # -- finite suplattices ------------------------------------------------------
@@ -495,27 +494,20 @@ class FiniteSuplattice:
                         f"{self.base.elements[j]} are mutually below each other"
                     )
         self._up = up
-        self._join: dict[int, int] = {}
-        for mask in range(1 << n):
-            ub = (1 << n) - 1
-            m = mask
-            while m:
-                low = m & -m
-                ub &= up[low.bit_length() - 1]
-                m ^= low
-            least = None
-            mm = ub
-            while mm:
-                low = mm & -mm
-                j = low.bit_length() - 1
-                if ub & ~up[j] == 0:
-                    least = j
-                    break
-                mm ^= low
-            if least is None:
-                members = self.base.subset_from_mask(mask).sorted_members()
-                raise InputError(f"subset {members} has no join")
-            self._join[mask] = least
+        full = (1 << n) - 1
+        # the upper bounds of every subset: the elements in no complemented
+        # up-set of a member, from one pass over all subsets
+        bounds = [full ^ out for out in unions(full ^ u for u in up)]
+        # the least of each distinct set of bounds, if it has one
+        least = {
+            ub: next((j for j in range(n) if ub >> j & 1 and ub & ~up[j] == 0), None)
+            for ub in set(bounds)
+        }
+        if None in least.values():
+            mask = next(m for m, ub in enumerate(bounds) if least[ub] is None)
+            members = self.base.subset_from_mask(mask).sorted_members()
+            raise InputError(f"subset {members} has no join")
+        self._join = list(map(least.__getitem__, bounds))
 
     def leq(self, x: str, y: str) -> bool:
         return bool(self._up[self.base.index(x)] >> self.base.index(y) & 1)
@@ -536,11 +528,8 @@ class FiniteSuplattice:
 
 def cover_from_suplattice(lat: FiniteSuplattice) -> Cover:
     """The motivating cover: a covers U iff a is below the join of U."""
-
-    def saturation(mask: int) -> int:
-        return lat.lower_set_mask(lat.join_index(mask))
-
-    return Cover(lat.base, saturation_fn=saturation)
+    lower = [lat.lower_set_mask(j) for j in range(len(lat.base))]
+    return Cover(lat.base, table=map(lower.__getitem__, lat._join))
 
 
 # -- user-supplied relation tables -------------------------------------------
@@ -578,4 +567,4 @@ def cover_from_table(base: BaseSet, table: dict[int, int]) -> Cover:
                 f"{base.subset_from_mask(u).sorted_members()} is covered by "
                 f"{base.subset_from_mask(v).sorted_members()} but its cover set is not"
             )
-    return Cover(base, saturation_fn=table.__getitem__)
+    return Cover(base, table=map(table.__getitem__, range(1 << n)))

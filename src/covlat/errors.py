@@ -54,7 +54,8 @@ class PartialTableError(CovlatError):
 
 
 class MixedParentError(CovlatError):
-    """Operator tables in one operation belong to different parent covers."""
+    """Operator tables in one operation do not fit together: they belong to
+    different parent covers, or mix closure and interior tables."""
 
 
 class ExtensionFailureError(CovlatError):

@@ -29,7 +29,7 @@ from itertools import chain
 from json.encoder import encode_basestring
 
 from .cover import ConcreteSpace, Cover, cover_from_table
-from .errors import InputError
+from .errors import BaseMismatchError, InputError
 from .sets import BaseSet
 from .table import ClosureTable, InteriorTable
 
@@ -42,6 +42,10 @@ def _load_json(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
 
 
 def _expect(data, key, kind, where):
@@ -146,7 +150,7 @@ def parse_space(data, where="space") -> ConcreteSpace:
         pairs.append((row[0], row[1]))
     try:
         return ConcreteSpace(points, base, pairs)
-    except (ValueError, InputError) as exc:
+    except (ValueError, BaseMismatchError, InputError) as exc:
         raise InputError(f"{where}: {exc}") from exc
 
 

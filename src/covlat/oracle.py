@@ -16,6 +16,7 @@ import itertools
 import random
 import string
 import time
+from collections import namedtuple
 
 from .caps import require_cap
 from .closure import (
@@ -57,32 +58,22 @@ from .table import OperatorTable
 from .verdict import Verdict, _jsonify
 
 
-class EnumerationBudget:
+class EnumerationBudget(
+    namedtuple("EnumerationBudget", "max_cover_size samples seed", defaults=(3, 30, 0))
+):
     """Bounds and seed for certification runs; deterministic given the seed.
 
-    Immutable; a plain class rather than a frozen dataclass because the
+    An immutable named tuple rather than a frozen dataclass, because the
     ``dataclasses`` import costs every ``covlat certify`` start-up.
     """
 
-    __slots__ = ("max_cover_size", "samples", "seed")
-
-    def __init__(self, max_cover_size: int = 3, samples: int = 30, seed: int = 0):
-        object.__setattr__(self, "max_cover_size", max_cover_size)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", seed)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    __slots__ = ()
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)
 
     def to_json(self) -> dict:
-        return {
-            "max_cover_size": self.max_cover_size,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return self._asdict()
 
 
 class Certificate:
@@ -266,10 +257,11 @@ def all_relations(source: BaseSet, target: BaseSet):
 
 
 def _naive_sat(cover: Cover):
-    """Saturation by naive iteration on an axiom cover and by the cover's
-    own function otherwise, so that neither the worklist nor its cache is
-    used."""
-    return cover._saturation_fn or (lambda m: naive_saturate(cover.axioms, m))
+    """Saturation by naive iteration on an axiom cover and by the given
+    table otherwise, so that neither the worklist nor its cache is used."""
+    if cover._given is not None:
+        return cover._given.__getitem__
+    return lambda m: naive_saturate(cover.axioms, m)
 
 
 def saturation_table_full(cover: Cover) -> list[int]:
@@ -450,7 +442,7 @@ def cover_from_table_full(base: BaseSet, table: dict[int, int]) -> Cover:
                     f"{base.subset_from_mask(u).sorted_members()} is covered by "
                     f"{base.subset_from_mask(v).sorted_members()} but its cover set is not"
                 )
-    return Cover(base, saturation_fn=table.__getitem__)
+    return Cover(base, table=map(table.__getitem__, range(1 << n)))
 
 
 def sublocale_verify_full(family: SublocaleFamily) -> Verdict:

@@ -77,9 +77,16 @@ def conjugate(t: OperatorTable) -> OperatorTable:
 # -- parent checks -----------------------------------------------------------
 
 
-def common_parent(tables: list[OperatorTable]) -> Cover:
+_MIXED_KINDS = "cannot combine closure and interior tables"
+
+
+def common_parent(tables: list[OperatorTable], kind: str | None = None) -> Cover:
+    """The one parent cover of ``tables``, which must all be of one kind,
+    ``kind`` when it is given."""
     if not tables:
         raise ValueError("empty operator family")
+    if len({kind or tables[0].kind, *(t.kind for t in tables)}) > 1:
+        raise MixedParentError(_MIXED_KINDS)
     parent = tables[0].parent
     for t in tables[1:]:
         if not parent.same_cover(t.parent):
@@ -90,7 +97,10 @@ def common_parent(tables: list[OperatorTable]) -> Cover:
 def check_morphism_tables(
     m: ValidatedMorphism, src: OperatorTable, tgt: OperatorTable
 ) -> None:
-    """The two tables live on the source and the target of the morphism."""
+    """The two tables are of one kind and live on the source and the
+    target of the morphism."""
+    if src.kind != tgt.kind:
+        raise MixedParentError(_MIXED_KINDS)
     if not src.parent.same_cover(m.source_cover):
         raise MixedParentError("source table does not live on the morphism's source")
     if not tgt.parent.same_cover(m.target_cover):
@@ -101,9 +111,10 @@ def check_morphism_tables(
 
 
 def pointwise(cls: type, family: Iterable[OperatorTable], meet: bool) -> OperatorTable:
-    """Carrier by carrier intersection (``meet``) or union of a family."""
+    """Carrier by carrier intersection (``meet``) or union of a family of
+    ``cls`` tables."""
     tables = list(family)
-    parent = common_parent(tables)
+    parent = common_parent(tables, cls.kind)
     size = 1 << len(parent.base)
     combine = operator.and_ if meet else operator.or_
     out = [size - 1 if meet else 0] * size

@@ -11,6 +11,7 @@ import pytest
 
 import covlat
 from covlat import (
+    BaseSet,
     Cover,
     InputError,
     Workspace,
@@ -134,6 +135,18 @@ class TestGoldenFiles:
         assert proc.returncode == 0
         assert out.read_text() == golden("frame_chain.dot")
 
+    def test_dot_ids_are_distinct_and_quoted(self):
+        # {a, b} and {"a,b"} need distinct ids; a quote or a backslash in
+        # a name must not end its quoted string
+        base = BaseSet(["a", "b", "a,b", 'x"y', "z\\"])
+        frame = Cover.from_axiom_names(base, []).saturated_sets()
+        text = cli.dot_diagram(frame.sets, frame.hasse_edges())
+        quoted = r'"(?:[^"\\]|\\.)*"'
+        nodes = re.findall(rf"^  ({quoted}) \[label={quoted}\];$", text, re.M)
+        assert len(set(nodes)) == len(frame.sets) == 32
+        assert len(re.findall(rf"^  {quoted} -> {quoted};$", text, re.M)) == len(frame.hasse_edges())
+        assert '"a,b"' in nodes and '"a\\,b"' in nodes and '"x\\"y"' in nodes and '"z\\\\"' in nodes
+
     @pytest.mark.parametrize(
         "args,expected_exit,golden_name",
         [
@@ -238,6 +251,25 @@ class TestExitCodes:
 
     def test_missing_file_is_two(self):
         assert run_cli("check", "nope.json").returncode == 2
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [(b"\xff", "not UTF-8 text"), (b"[" * 100000, "JSON nested too deeply")],
+        ids=["not-utf8", "deep-nesting"],
+    )
+    def test_unreadable_json_is_one_line_input_error(self, tmp_path, content, message):
+        (tmp_path / "in.json").write_bytes(content)
+        proc = run_cli("check", "in.json", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: in.json: " + message)
+        assert len(proc.stderr.splitlines()) == 1
+
+    def test_unwritable_dot_path_is_two(self, tmp_path):
+        target = tmp_path / "missing" / "g.dot"
+        proc = run_cli("frame", "chain.json", "--dot", str(target))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: cannot write {target}: ")
+        assert len(proc.stderr.splitlines()) == 1
 
     # An element given as a list: once per place an element name is read.
     @pytest.mark.parametrize(
@@ -560,6 +592,20 @@ class TestOperatorCommands:
         proc = run_cli("operator", "verify", "trivial_closure_free2.json")
         assert json.loads(proc.stdout)["verdict"]["checked"] == 4 + 4 + 1
 
+    def test_join_through_symlinked_table_instance(self, tmp_path):
+        # two paths to one table instance give equal table covers: the same cover
+        cover = load_instance(data_path("chain.json"))
+        names = cover.base.sorted_member_table()
+        rows = [[names[m], names[s]] for m, s in enumerate(cover.saturation_table())]
+        (tmp_path / "inst.json").write_text(json.dumps({"base": list(cover.base.elements), "table": rows}))
+        os.symlink("inst.json", tmp_path / "link.json")
+        identity = [[name, name] for name in names]
+        for name, ref in [("one.json", "inst.json"), ("two.json", "link.json")]:
+            (tmp_path / name).write_text(json.dumps({"cover": ref, "kind": "closure", "table": identity}))
+        proc = run_cli("operator", "join", "one.json", "two.json", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["table"] == identity
+
     def test_join_meet(self):
         proc = run_cli(
             "operator", "join", "trivial_closure_free2.json", "trivial_closure_free2.json"
@@ -672,6 +718,11 @@ class TestRoundTrip:
         sp = parse_space(data)
         assert space_to_json(sp) == data
         assert space_to_json(parse_space(space_to_json(sp))) == data
+
+    def test_space_with_unknown_element_is_input_error(self):
+        data = {"points": ["x"], "base": ["a"], "forcing": [["x", "z"]]}
+        with pytest.raises(InputError, match="^space: element 'z' is not in this base$"):
+            parse_space(data)
 
     def test_space_with_bad_element_is_input_error(self):
         with pytest.raises(InputError, match="^space: element identifiers must be non-empty strings: 1$"):

@@ -312,7 +312,7 @@ class TestSaturationTable:
     @given(st.integers(0, 10_000), st.integers(0, 6), st.sampled_from(["space", "table"]))
     @settings(max_examples=60, deadline=None)
     def test_function_backed_covers_have_no_inert_bits(self, seed, size, kind):
-        # a function-backed cover chains every bit, through saturate_mask
+        # a cover given by its table is read, never chained: no bit is inert
         rng = random.Random(seed)
         if kind == "space":
             c = random_space_cover(rng, size)
@@ -449,7 +449,7 @@ class TestSuplattice:
 
     def test_rejects_missing_join(self):
         # two incomparable tops: {a, b} has no least upper bound
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^subset \['a', 'b'\] has no join$"):
             FiniteSuplattice(["z", "a", "b"], [("z", "a"), ("z", "b")])
 
 
@@ -498,6 +498,134 @@ class TestRelationTable:
             cover_from_table(base, dict(rows))
         with pytest.raises(InputError, match=r"^table violates transitivity: \['a'\] is covered by \[\]"):
             cover_from_table(base, dict(reversed(rows)))
+
+
+def covers_by_points(space, mask):
+    """sat(mask) of the induced cover by its definition: a covers U iff
+    every point forcing a forces some member of U."""
+    def forces(p, a):
+        return (p, space.base.elements[a]) in space.forcing
+
+    n = len(space.base)
+    return sum(
+        1 << a
+        for a in range(n)
+        if all(any(forces(p, b) for b in range(n) if mask >> b & 1)
+               for p in space.points if forces(p, a))
+    )
+
+
+def random_poset(rng, size):
+    """Names and order pairs of a random poset on at most ``size``
+    elements, acyclic by index order; often with a bottom and a top, so
+    that many draws are lattices."""
+    names = [f"e{i}" for i in range(size)]
+    pairs = [(x, y) for i, x in enumerate(names) for y in names[i + 1:] if rng.random() < 0.4]
+    if size and rng.random() < 0.7:
+        pairs += [(names[0], y) for y in names[1:]]
+    if size and rng.random() < 0.7:
+        pairs += [(x, names[-1]) for x in names[:-1]]
+    rng.shuffle(names)
+    return names, pairs
+
+
+def up_sets(base, pairs):
+    """For each element, the mask of the elements above it."""
+    up = [1 << i for i in range(len(base))]
+    for _ in range(len(base)):
+        for lo, hi in pairs:
+            up[base.index(lo)] |= up[base.index(hi)]
+    return up
+
+
+def joins_by_search(base, up):
+    """The join index of every subset, by mask, from a search per mask: its
+    upper bounds, then the one below all of them; or the error for the
+    least subset that has none."""
+    n = len(base)
+    joins = []
+    for mask in range(1 << n):
+        bounds = [j for j in range(n) if all(up[i] >> j & 1 for i in range(n) if mask >> i & 1)]
+        least = [j for j in bounds if all(up[j] >> k & 1 for k in bounds)]
+        if not least:
+            return f"subset {base.subset_from_mask(mask).sorted_members()} has no join"
+        joins.append(least[0])
+    return joins
+
+
+class TestTableCovers:
+    """Covers given by their saturation table."""
+
+    def test_equal_tables_are_the_same_cover(self, chain2):
+        table = dict(enumerate(chain2.saturation_table()))
+        one = cover_from_table(chain2.base, table)
+        other = cover_from_table(BaseSet(["a", "b"]), dict(table))
+        assert one is not other and one.same_cover(other) and other.same_cover(one)
+        assert Cover(chain2.base, table=chain2.saturation_table()).same_cover(one)
+        assert not one.same_cover(cover_from_table(chain2.base, {m: 3 for m in range(4)}))
+        # a table is not axioms, even with the same saturation
+        assert not one.same_cover(chain2) and not chain2.same_cover(one)
+
+    @pytest.mark.parametrize("name", sorted(standard_suplattices()))
+    def test_rebuilt_suplattice_and_space_covers_are_the_same_cover(self, name):
+        lat = standard_suplattices()[name]
+        assert cover_from_suplattice(lat).same_cover(cover_from_suplattice(lat))
+        space = ConcreteSpace(["x", "y"], lat.base, [("x", lat.base.elements[-1])])
+        assert cover_from_concrete_space(space).same_cover(cover_from_concrete_space(space))
+
+    def test_table_of_wrong_length_rejected(self):
+        base = BaseSet(["a", "b"])
+        with pytest.raises(InputError, match="^saturation table has 3 entries, expected 4$"):
+            Cover(base, table=[0, 1, 2])
+
+    def test_axioms_and_table_together_rejected(self, chain2):
+        with pytest.raises(InputError, match="not both"):
+            Cover(chain2.base, chain2.axioms, table=chain2.saturation_table())
+
+    def test_saturate_mask_reads_the_table_through_the_cache(self, chain2):
+        c = cover_from_table(chain2.base, dict(enumerate(chain2.saturation_table())))
+        assert c.saturate_mask(2) == 3
+        assert c._cache == {2: 3}
+
+    def test_concrete_space_over_the_single_cap_rejected(self):
+        base = BaseSet([f"o{i}" for i in range(cap_for("single") + 1)])
+        with pytest.raises(CapExceededError, match="^cover_from_concrete_space: "):
+            cover_from_concrete_space(ConcreteSpace(["x"], base, [("x", "o0")]))
+
+    @given(st.integers(0, 10_000), st.integers(0, 5), st.integers(0, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_concrete_space_table_matches_forcing(self, seed, size, points):
+        rng = random.Random(seed)
+        base = default_base(size)
+        names = [f"p{i}" for i in range(points)]
+        forcing = [(p, a) for p in names for a in base.elements if rng.random() < 0.4]
+        space = ConcreteSpace(names, base, forcing)
+        expected = [covers_by_points(space, m) for m in range(1 << size)]
+        assert cover_from_concrete_space(space).saturation_table() == expected
+
+    @given(st.integers(0, 10_000), st.integers(0, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_suplattice_joins_match_per_mask_search(self, seed, size):
+        names, pairs = random_poset(random.Random(seed), size)
+        base = BaseSet(names)
+        expected = joins_by_search(base, up_sets(base, pairs))
+        try:
+            lat = FiniteSuplattice(names, pairs)
+        except InputError as exc:
+            assert str(exc) == expected
+            return
+        assert lat._join == expected
+        lower = [lat.lower_set_mask(j) for j in range(size)]
+        assert cover_from_suplattice(lat).saturation_table() == [lower[j] for j in expected]
+
+    def test_random_posets_give_both_outcomes(self):
+        # the draws above reach lattices and posets without some join alike
+        outcomes = []
+        for seed in range(100):
+            names, pairs = random_poset(random.Random(seed), 5)
+            base = BaseSet(names)
+            outcomes.append(isinstance(joins_by_search(base, up_sets(base, pairs)), list))
+        assert 30 <= sum(outcomes) <= 70
 
 
 def table_outcome(accept, base, table):

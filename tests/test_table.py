@@ -13,6 +13,7 @@ from covlat import (
     ClosureTable,
     InteriorTable,
     BaseSet,
+    MixedParentError,
     Cover,
     Relation,
     ValidatedMorphism,
@@ -23,8 +24,11 @@ from covlat import (
     initial_interior_paper,
     is_c_continuous,
     is_i_continuous,
+    join_closures,
     join_interiors,
+    leq_closures,
     meet_closures,
+    meet_interiors,
     reflection,
     trivial_closure,
     trivial_interior,
@@ -341,3 +345,26 @@ def test_compare_matches_per_carrier_loop(seed, n, how):
         left, right = cls(cover, s), cls(cover, t)
         assert compare(left, right) == compare_by_carrier(left, right)
         assert compare(right, left) == compare_by_carrier(right, left)
+
+
+MIXED_KIND_CALLS = {
+    # one closure table c and one interior table i, or a table of the
+    # other kind than the call's own
+    "join-closures": lambda c, i, m: join_closures([c, i]),
+    "join-closures-of-interiors": lambda c, i, m: join_closures([i, i]),
+    "meet-interiors-of-closures": lambda c, i, m: meet_interiors([c]),
+    "leq-closures": lambda c, i, m: leq_closures(c, i),
+    "compare": lambda c, i, m: compare(i, c),
+    "c-continuity": lambda c, i, m: is_c_continuous(m, c, i),
+    "i-continuity": lambda c, i, m: is_i_continuous(m, i, c),
+}
+
+
+@pytest.mark.parametrize("call", sorted(MIXED_KIND_CALLS))
+def test_mixed_kinds_rejected(call):
+    cover = Cover.from_axiom_names(BaseSet(["a", "b"]), [])
+    identity = Relation(cover.base, cover.base, [("a", "a"), ("b", "b")])
+    m = ValidatedMorphism.build(identity, cover, cover)
+    with pytest.raises(MixedParentError, match="^cannot combine closure and interior tables$"):
+        MIXED_KIND_CALLS[call](trivial_closure(cover), discrete_interior(cover), m)
+
