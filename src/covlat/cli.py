@@ -22,8 +22,6 @@ import functools
 import re
 import sys
 
-from . import closure as cl
-from . import interior as it
 from .errors import CovlatError, InputError, MorphismValidationError
 from .fileio import (
     Workspace,
@@ -172,6 +170,8 @@ def cmd_morphism(args) -> int:
 
 
 def cmd_operator(args) -> int:
+    from . import closure as cl, interior as it  # only operator needs the operator modules
+
     paths = _operands(args, OPERATOR_OPERANDS)
     action = args.action
     ws = Workspace()

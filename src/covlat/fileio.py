@@ -31,7 +31,6 @@ from json.encoder import encode_basestring
 from .cover import ConcreteSpace, Cover, cover_from_table
 from .errors import BaseMismatchError, InputError
 from .sets import BaseSet
-from .table import ClosureTable, InteriorTable
 
 
 def _load_json(path: str):
@@ -196,6 +195,8 @@ class Workspace:
 
     def operator_file(self, path: str, kind: str | None = None):
         """Returns a ClosureTable or InteriorTable per the file's kind."""
+        from .table import ClosureTable, InteriorTable  # only operator files need tables
+
         data = _load_json(path)
         cover = self.cover(_expect(data, "cover", str, path), relative_to=path)
         file_kind = data.get("kind", kind or "closure")

@@ -150,6 +150,10 @@ class Subset:
     def __setattr__(self, *_):
         raise AttributeError("Subset is immutable")
 
+    def __reduce__(self):
+        # pickle through __init__: the default path assigns the slots and trips the guard
+        return Subset, (self.base, self.mask)
+
     def _check(self, other: Subset) -> None:
         if not isinstance(other, Subset):
             raise TypeError(f"expected Subset, got {type(other).__name__}")

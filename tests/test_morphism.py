@@ -12,6 +12,7 @@ from covlat import (
     MorphismValidationError,
     Relation,
     ValidatedMorphism,
+    Verdict,
     canonical_form,
     compose,
     cover_from_suplattice,
@@ -213,6 +214,92 @@ class TestConvergenceSingletons:
             relations = [random_relation(rng, c1, c2) for _ in range(64)]
             outcomes |= self.assert_twins_agree(c1, c2, relations)
         assert "down-set" in outcomes and "pass" in outcomes
+
+
+def respects_covers_per_pair(r, c1, c2):
+    """``respects_covers_full`` with one ``preimage_minus_mask`` per read."""
+    n2 = len(c2.base)
+    checked = 0
+    for v in range(1 << n2):
+        sat_v = c2.saturate_mask(v)
+        pre_v_sat = c1.saturate_mask(r.preimage_minus_mask(v))
+        for u in range(1 << n2):
+            if u & ~sat_v:
+                continue
+            checked += 1
+            if r.preimage_minus_mask(u) & ~pre_v_sat:
+                return Verdict.fail(
+                    {"u": c2.base.subset_from_mask(u), "v": c2.base.subset_from_mask(v)}, checked
+                )
+    return Verdict.ok(checked)
+
+
+def convergent_morphism_per_pair(r, c1, c2):
+    """``convergent_morphism_full`` with one ``preimage_minus_mask`` per read."""
+    n1 = len(c1.base)
+    n2 = len(c2.base)
+    checked = 1
+    if ((1 << n1) - 1) & ~c1.saturate_mask(r.preimage_minus_mask((1 << n2) - 1)):
+        return Verdict.fail({"condition": "source covered by preimage of target"}, checked)
+    for u in range(1 << n2):
+        pre_u = r.preimage_minus_mask(u)
+        for v in range(1 << n2):
+            checked += 1
+            pre_v = r.preimage_minus_mask(v)
+            left = c1.down_mask(pre_u, pre_v)
+            right = c1.saturate_mask(r.preimage_minus_mask(c2.down_mask(u, v)))
+            if left & ~right:
+                return Verdict.fail(
+                    {
+                        "condition": "down-set",
+                        "u": c2.base.subset_from_mask(u),
+                        "v": c2.base.subset_from_mask(v),
+                    },
+                    checked,
+                )
+    return Verdict.ok(checked)
+
+
+class TestFullTwinsReadEachPreimageOnce:
+    """The full-quantifier twins, reading ``Relation.preimages()``, against
+    their per-pair form: the same verdict, witness and ``checked``."""
+
+    @staticmethod
+    def outcomes(c1, c2, relations):
+        seen = set()
+        for r in relations:
+            respects = respects_covers_full(r, c1, c2)
+            assert respects == respects_covers_per_pair(r, c1, c2)
+            convergent = convergent_morphism_full(r, c1, c2)
+            assert convergent == convergent_morphism_per_pair(r, c1, c2)
+            seen.add("respects" if respects.passed else "no respect")
+            seen.add(convergent.witness["condition"] if convergent.witness else "convergent")
+        return seen
+
+    def test_every_relation_between_covers_up_to_two_elements(self):
+        covers = list(
+            {(len(c.base), tuple(c.saturation_table())): c for c in enumerate_covers(2)}.values()
+        )
+        assert len(covers) == 10
+        seen = set()
+        for c1, c2 in itertools.product(covers, repeat=2):
+            seen |= self.outcomes(c1, c2, all_relations(c1.base, c2.base))
+        assert seen == {
+            "respects",
+            "no respect",
+            "convergent",
+            "source covered by preimage of target",
+            "down-set",
+        }
+
+    def test_seeded_three_element_covers(self):
+        seen = set()
+        for seed in range(8):
+            rng = random.Random(700 + seed)
+            c1 = random_cover(rng, 3)
+            c2 = random_cover(rng, 3)
+            seen |= self.outcomes(c1, c2, [random_relation(rng, c1, c2) for _ in range(32)])
+        assert {"no respect", "down-set", "convergent"} <= seen
 
 
 class TestMinimalCoversOncePerCover:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from covlat import (
     Certificate,
     EnumerationBudget,
     InitialContinuityDefectError,
+    MorphismClass,
     default_certificates,
     oracle,
 )
@@ -147,6 +149,100 @@ class TestCertificates:
         monkeypatch.setattr(oracle, "initial_closure", defect)
         cert = certify_initial_lift(EnumerationBudget(samples=3, seed=1))
         assert (cert.instances, cert.skipped, cert.passed) == (0, 3, False)
+
+
+class TestMorphismCertificate:
+    def test_default_suite_at_the_defaults(self):
+        certs = default_certificates(EnumerationBudget())
+        assert [(c.claim_id, c.passed, c.instances, c.skipped) for c in certs] == [
+            ("saturation-closure-and-oracle-agreement", True, 30, 0),
+            ("morphism-singleton-reductions", True, 1424, 0),
+            ("initial-operator-factorization", True, 277, 9),
+            ("suplattice-roundtrip-chain2", True, 8, 0),
+            ("suplattice-roundtrip-square", True, 32, 0),
+            ("suplattice-roundtrip-m3", True, 57, 0),
+        ]
+
+    @staticmethod
+    def morphisms_by_sample(monkeypatch):
+        """The morphisms the certificate builds at the defaults, by sample."""
+        samples = []
+
+        class Recording(MorphismClass):
+            def __init__(self, m):
+                super().__init__(m)
+                if not samples or samples[-1][-1].source_cover is not m.source_cover:
+                    samples.append([])
+                samples[-1].append(m)
+
+        monkeypatch.setattr(oracle, "MorphismClass", Recording)
+        assert certify_morphism_shortcuts(EnumerationBudget()).passed
+        return samples
+
+    @staticmethod
+    def swap_across_classes(sample, tables):
+        # as many classes, another partition: swap the tables of the first
+        # morphism and of the first one in another class, one of the two
+        # classes having a further member
+        for j, table in enumerate(tables):
+            if table != tables[0] and (tables.count(tables[0]) > 1 or tables.count(table) > 1):
+                swapped = list(tables)
+                swapped[0], swapped[j] = table, tables[0]
+                return swapped
+        return tables
+
+    @pytest.mark.parametrize("kind", ["merge-all", "split-by-parity", "swap-across-classes"])
+    def test_equivalence_disagreement_names_the_least_pair(self, monkeypatch, kind):
+        # the singleton tables of one sample are replaced so that their
+        # equivalence differs from the full tables'; the witness is the first
+        # disagreeing (i1, i2) of the pair scan over that sample
+        perturb = {
+            "merge-all": lambda sample, tables: [()] * len(tables),
+            "split-by-parity": lambda sample, tables: [
+                table + (len(m.relation.pairs) % 2,) for m, table in zip(sample, tables)
+            ],
+            "swap-across-classes": self.swap_across_classes,
+        }[kind]
+
+        def disagreements(fast, slow):
+            return [
+                (i1, i2)
+                for i1, i2 in itertools.product(range(len(fast)), repeat=2)
+                if (fast[i1] == fast[i2]) != (slow[i1] == slow[i2])
+            ]
+
+        labels, target = [], None
+        for sample in self.morphisms_by_sample(monkeypatch):
+            tables = [MorphismClass(m).table for m in sample]
+            fast = tables if target is not None else perturb(sample, tables)
+            if target is None and disagreements(fast, tables):
+                target, target_fast = sample, fast
+            labels += fast
+        assert target is not None
+        labels = iter(labels)
+
+        class Perturbed(MorphismClass):
+            def __init__(self, m):
+                super().__init__(m)
+                self.table = next(labels)
+
+        monkeypatch.setattr(oracle, "MorphismClass", Perturbed)
+        cert = certify_morphism_shortcuts(EnumerationBudget())
+
+        c1, c2 = target[0].source_cover, target[0].target_cover
+        slow = [
+            tuple(c1.saturate_mask(m.relation.preimage_minus_mask(w)) for w in range(1 << len(c2.base)))
+            for m in target
+        ]
+        i1, i2 = disagreements(target_fast, slow)[0]
+        assert not cert.passed
+        assert cert.witness == {
+            "claim": "equivalence",
+            "pairs1": sorted(target[i1].relation.pairs),
+            "pairs2": sorted(target[i2].relation.pairs),
+        }
+        if kind == "swap-across-classes":
+            assert len(set(target_fast)) == len(set(slow))
 
 
 class TestSuplatticeRoundtrip:

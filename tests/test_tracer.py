@@ -3,6 +3,10 @@ wraps; a rename would otherwise silence a benchmark layer."""
 
 import importlib.util
 import os
+import subprocess
+import sys
+
+from conftest import cli_env
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -42,3 +46,28 @@ def test_traced_functions_are_distinct():
     targets = [target for targets, _note in tracer.SPANS.values() for target in targets]
     functions = [_resolve(target) for target in targets]
     assert len({id(f) for f in functions}) == len(targets)
+
+
+
+def test_lazy_package_name_drops_its_wrapper_on_uninstall():
+    # covlat resolves its names on each use; one stored while traced would
+    # keep the wrapper after uninstall.  A fresh child, so that no earlier
+    # test has read the name first.
+    code = "\n".join(
+        [
+            "import sys",
+            f"sys.path.insert(0, {os.path.join(REPO, 'perfbench')!r})",
+            "import covlat, tracer",
+            "from covlat import morphism",
+            "original = morphism.respects_covers",
+            "t = tracer.Tracer()",
+            "t.install()",
+            "traced = covlat.respects_covers",
+            "t.uninstall()",
+            "print(traced is not original, traced.__wrapped__ is original,",
+            "      covlat.respects_covers is original)",
+        ]
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True", "True"]

@@ -25,9 +25,8 @@ def test_fields_cannot_be_assigned_or_deleted(verdict):
         del verdict.passed
 
 
-@pytest.mark.parametrize("verdict", verdicts()[::2], ids=["ok", "name-witness"])
+@pytest.mark.parametrize("verdict", verdicts(), ids=["ok", "subset-witness", "name-witness"])
 def test_pickle_round_trip(verdict):
-    # (a Subset witness does not unpickle: Subset refuses the slot assignment)
     again = pickle.loads(pickle.dumps(verdict))
     assert type(again) is Verdict and again == verdict
     assert again.to_json() == verdict.to_json()
