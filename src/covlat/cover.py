@@ -234,7 +234,14 @@ class Cover:
         By monotonicity of saturation, v covers a minimally iff a is in
         sat(v) and in no sat(v - b) for b in v.  Those candidates only
         shrink as bits b are tried, so the scan of v stops once none is
-        left.  The reference is ``oracle.minimal_covers_full``.
+        left.  Let X be the elements x with a in sat({x}).  A cover of a
+        meeting X holds some {x} covering a, so when a is outside
+        sat(full - X) the minimal covers of a are the singletons of X:
+        {a} alone when a is covered only by the sets holding it, every
+        singleton on an all-equivalent cover.  Such an a leaves the scan,
+        which is skipped when no element is left (a free, chain or
+        all-equivalent cover).  The reference is
+        ``oracle.minimal_covers_full``.
 
         Computed once per cover, like the saturation table: every caller
         shares the same lists and must not mutate them.
@@ -243,7 +250,17 @@ class Cover:
             n = len(self.base)
             require_cap("minimal_covers", n, "single")
             sat = self.saturation_table()
+            full = len(sat) - 1
             minimal: list[list[int]] = [[] for _ in range(n)]
+            singletons = [1 << x for x in range(n)]
+            rest = full  # the elements left to the scan
+            for a in range(n):
+                covering = [s for s in singletons if sat[s] >> a & 1]  # {a} among them
+                if not sat[full ^ sum(covering)] >> a & 1:
+                    minimal[a] = covering
+                    rest ^= 1 << a
+            if rest != full:
+                sat = [s & rest for s in sat] if rest else ()
             for v, fresh in enumerate(sat):
                 m = v
                 while m and fresh:
@@ -270,19 +287,25 @@ class Cover:
         larger in mask order, so the least failure is a minimal pair and
         the witness is the one the scan over all covers would report
         (``oracle.is_convergent_full``).
+
+        The down-set meet of u and v is ``down(u) & down(v)``, so the
+        down-set of each distinct minimal cover is taken once, and each
+        pair is one intersection and one table read.
         """
         n = len(self.base)
         require_cap("is_convergent", n, "double")
         checked = 0
         minimal = self.minimal_covers()
         sat = self.saturation_table()
+        down = {m: self.down_mask(m, m) for m in set().union(*minimal)}
         for a in range(n):
             bit = 1 << a
             covers = minimal[a]
             for v in covers:
+                down_v = down[v]
                 for u in covers:
                     checked += 1
-                    if not sat[self.down_mask(u, v)] & bit:
+                    if not sat[down[u] & down_v] & bit:
                         return Verdict.fail(
                             {
                                 "element": self.base.elements[a],
@@ -361,19 +384,22 @@ class FrameOfSaturated:
         Every saturated v strictly above u contains some x outside u, and
         so contains sat(u + x); the upper covers of u are therefore the
         minimal sets among those n saturations, read from the cover's
-        saturation table.  Edges come in (u, v) mask order, as in
+        saturation table.  Such a v = sat(u + x) is minimal exactly when
+        sat(u + y) = v for every y in v - u (a y giving a smaller set
+        would put it between u and v), that is when (v - u).bit_count()
+        of the x outside u give v: a count, not a scan of the other
+        saturations.  Edges come in (u, v) mask order, as in
         ``oracle.hasse_edges_full``.
         """
         table = self.cover.saturation_table()
         by_mask = {s.mask: s for s in self.sets}
-        n = len(self.cover.base)
+        bits = [1 << x for x in range(len(self.cover.base))]
         edges = []
         for u in self.sets:
-            ups = sorted(
-                {table[u.mask | 1 << x] for x in range(n) if not u.mask >> x & 1}
-            )
-            for v in ups:
-                if not any(w != v and w & ~v == 0 for w in ups):
+            m = u.mask
+            ups = [table[m | b] for b in bits if not m & b]
+            for v in sorted(set(ups)):
+                if ups.count(v) == (v ^ m).bit_count():
                     edges.append((u, by_mask[v]))
         return edges
 

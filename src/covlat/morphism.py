@@ -107,6 +107,9 @@ def respects_covers(r: Relation, c1: Cover, c2: Cover) -> Verdict:
     does every V0 <= V still covering a; the least failing V in mask order
     is minimal, and the witness is the one the scan over all covers would
     report (``oracle.respects_covers_every_cover``).
+
+    A V that is a minimal cover of several elements has its preimage
+    saturated once, on first use.
     """
     if r.source != c1.base or r.target != c2.base:
         raise BaseMismatchError("relation endpoints do not match the covers")
@@ -114,12 +117,15 @@ def respects_covers(r: Relation, c1: Cover, c2: Cover) -> Verdict:
     require_cap("respects_covers", n2, "respects")
     checked = 0
     minimal = c2.minimal_covers()
+    covered: dict[int, int] = {}  # sat1(pre(v)) per minimal cover v met so far
     for a in range(n2):
         pre_a = r._preimage[a]
         for v in minimal[a]:
             checked += 1
-            pre_v = r.preimage_minus_mask(v)
-            if pre_a & ~c1.saturate_mask(pre_v):
+            sat_v = covered.get(v)
+            if sat_v is None:
+                sat_v = covered[v] = c1.saturate_mask(r.preimage_minus_mask(v))
+            if pre_a & ~sat_v:
                 return Verdict.fail(
                     {
                         "element": c2.base.elements[a],
@@ -136,8 +142,10 @@ def _convergence_verdict(r: Relation, c1: Cover, c2: Cover) -> Verdict:
     The down-set of a union is the union of down-sets, so the source meet
     of pre({u}) and pre({v}) is the intersection of two of the n2 down-sets
     ``down[u]``, and the target meet of {u} and {v} is
-    ``sat2[u] & sat2[v]``; both are built before the pair loop.  The
-    per-pair reference is ``oracle.convergence_singletons_full``.
+    ``sat2[u] & sat2[v]``; both are built before the pair loop.  Pairs
+    with the same target meet share its saturated preimage, taken on
+    first use.  The per-pair reference is
+    ``oracle.convergence_singletons_full``.
     """
     n1 = len(c1.base)
     n2 = len(c2.base)
@@ -149,12 +157,15 @@ def _convergence_verdict(r: Relation, c1: Cover, c2: Cover) -> Verdict:
     sat1 = [c1.saturate_mask(1 << x) for x in range(n1)]
     sat2 = [c2.saturate_mask(1 << x) for x in range(n2)]
     down = [union_over(sat1, pre) for pre in r._preimage]
+    covered: dict[int, int] = {}  # sat1(pre(w)) per target meet w met so far
     for u in range(n2):
         for v in range(n2):
             checked += 1
-            left = down[u] & down[v]
-            right = c1.saturate_mask(r.preimage_minus_mask(sat2[u] & sat2[v]))
-            if left & ~right:
+            meet = sat2[u] & sat2[v]
+            right = covered.get(meet)
+            if right is None:
+                right = covered[meet] = c1.saturate_mask(r.preimage_minus_mask(meet))
+            if down[u] & down[v] & ~right:
                 return Verdict.fail(
                     {
                         "condition": "down-set",

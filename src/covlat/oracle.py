@@ -17,6 +17,7 @@ import random
 import string
 import time
 from collections import namedtuple
+from typing import TYPE_CHECKING
 
 from .caps import require_cap
 from .closure import (
@@ -54,9 +55,11 @@ from .morphism import (
     respects_covers,
 )
 from .sets import BaseSet, Subset, submasks
-from .subobject import Subobject, SublocaleFamily, SubobjectLattice
 from .table import OperatorTable
 from .verdict import Verdict, _jsonify
+
+if TYPE_CHECKING:  # annotations only: certify runs no subobject code
+    from .subobject import Subobject, SublocaleFamily, SubobjectLattice
 
 
 class EnumerationBudget(

@@ -12,7 +12,9 @@ from covlat import (
     PartialTableError,
     Relation,
     ValidatedMorphism,
+    canonical_form,
     check_preimage_continuity,
+    equivalent,
     closed_subobjects,
     compare_closures,
     discrete_closure,
@@ -133,6 +135,25 @@ class TestContinuity:
                     is_c_continuous(m, c, d).passed
                     == check_preimage_continuity(m, c, d).passed
                 )
+
+
+    def test_continuity_is_of_the_relation_not_its_ccov_class(self):
+        # a is covered by the empty set, so where a goes does not change
+        # the arrow; the two relations are one CCov class, yet only the
+        # first is continuous
+        base = BaseSet(["a", "b"])
+        src = Cover.from_axiom_names(base, [("a", [])])
+        tgt = Cover.from_axiom_names(base, [])
+        c_src = ClosureTable(src, [0, 3, 3, 3])
+        c_tgt = ClosureTable(tgt, [0, 1, 3, 3])
+        m1 = ValidatedMorphism.build(Relation(base, base, [("a", "a"), ("b", "a")]), src, tgt)
+        m2 = ValidatedMorphism.build(Relation(base, base, [("a", "b"), ("b", "a")]), src, tgt)
+        assert canonical_form(m1).table == canonical_form(m2).table == (3, 1)
+        assert equivalent(m1, m2)
+        assert is_c_continuous(m1, c_src, c_tgt).passed
+        split = is_c_continuous(m2, c_src, c_tgt)
+        assert not split.passed
+        assert split.witness == {"carrier": base.subset(["b"])}
 
 
 class TestInitialClosure:

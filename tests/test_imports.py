@@ -192,3 +192,10 @@ class TestImportFootprint:
         assert code == 0
         assert OPERATOR_MODULES <= loaded
         assert {"covlat.subobject", "covlat.oracle"}.isdisjoint(loaded)
+
+    def test_certify_loads_the_oracle_but_no_subobject_code(self):
+        # the oracle names the subobject classes in annotations only
+        code, loaded = footprint("certify")
+        assert code == 0
+        assert "covlat.oracle" in loaded
+        assert "covlat.subobject" not in loaded
