@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "caps": ("cap_for", "require_cap"),
     "closure": (
-        "check_preimage_continuity",
         "closed_subobjects",
         "compare_closures",
         "discrete_closure",
@@ -68,7 +67,6 @@ _EXPORTS = {
     ),
     "interior": (
         "coreflection",
-        "corestriction_mask",
         "discrete_interior",
         "initial_interior_corrected",
         "initial_interior_paper",

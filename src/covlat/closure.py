@@ -81,20 +81,6 @@ def is_c_continuous(
     return Verdict.fail({"carrier": m.relation.source.subset_from_mask(t)}, t + 1)
 
 
-def check_preimage_continuity(
-    m: ValidatedMorphism, c_src: ClosureTable, c_tgt: ClosureTable
-) -> Verdict:
-    """Preimage form of continuity, quantified over target subobjects."""
-    check_morphism_tables(m, c_src, c_tgt)
-    preimages = m.relation.preimages()
-    u = first_escape(
-        map(c_src.table.__getitem__, preimages), map(preimages.__getitem__, c_tgt.table)
-    )
-    if u is None:
-        return Verdict.ok(len(preimages))
-    return Verdict.fail({"carrier": m.relation.target.subset_from_mask(u)}, u + 1)
-
-
 # -- initial closure ---------------------------------------------------------
 
 

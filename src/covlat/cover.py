@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .caps import cap_for, require_cap
 from .errors import BaseMismatchError, InputError
-from .sets import BaseSet, Subset, meets_above, union_over, unions
+from .sets import BaseSet, Subset, fixed_points, meets_above, union_over, unions
 from .verdict import Verdict
 
 
@@ -319,9 +319,7 @@ class Cover:
     def saturated_sets(self) -> "FrameOfSaturated":
         n = len(self.base)
         require_cap("saturated_sets", n, "single")
-        fixed = self.base.subsets_from_masks(
-            m for m, sat in enumerate(self.saturation_table()) if sat == m
-        )
+        fixed = self.base.subsets_from_masks(fixed_points(self.saturation_table()))
         convergent = None
         if n <= cap_for("double"):
             convergent = self.is_convergent()

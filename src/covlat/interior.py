@@ -101,15 +101,6 @@ def initial_interior_paper(
     return candidate, verify_interior_axioms(candidate)
 
 
-def corestriction_mask(m: ValidatedMorphism, t_mask: int) -> int:
-    """Target elements whose whole preimage lies inside the given carrier:
-    those outside the image of the rest of the source."""
-    rel = m.relation
-    full_src = (1 << len(rel.source)) - 1
-    full_tgt = (1 << len(rel.target)) - 1
-    return full_tgt & ~rel.direct_image_mask(full_src & ~t_mask)
-
-
 def initial_interior_corrected(
     m: ValidatedMorphism, i_tgt: InteriorTable
 ) -> InteriorTable:
@@ -127,8 +118,9 @@ def initial_interior_corrected(
     pre_top = rel.preimage_minus_mask(full_tgt)
     if pre_top != full_src:
         raise UpperBoundFailureError(rel.source.subset_from_mask(pre_top))
-    # corestriction_mask(m, t) for every carrier t, by mask: as t runs up,
-    # its complement runs down the images
+    # the co-restriction of every carrier t, by mask: the target elements
+    # whose whole preimage lies in t, those outside the image of the rest
+    # of the source; as t runs up, its complement runs down the images
     table = pull_back(m, i_tgt, [full_tgt ^ img for img in reversed(rel.images())])
     result = InteriorTable(m.source_cover, table)
     axioms = verify_interior_axioms(result)

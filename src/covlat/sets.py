@@ -262,6 +262,18 @@ def unions(per_element: Iterable[int]) -> list[int]:
     return out
 
 
+def fixed_points(table: Sequence[int]) -> list[int]:
+    """The entries ``table[m]`` with ``table[m] == m``, in mask order: the
+    saturated sets of a saturation table, the fixed carriers of an
+    operator table.
+
+    The entries are the table's own objects, not the equal ints that
+    ``enumerate`` counts out, so a frame read from a table that is kept
+    anyway holds no second copy of its masks.
+    """
+    return [out for m, out in enumerate(table) if out == m]
+
+
 def first_escape(inner: Iterable[int], outer: Iterable[int]) -> int | None:
     """The least position i with ``inner[i]`` not inside ``outer[i]``, or
     None if there is none: one bulk pass, and a second up to i on a

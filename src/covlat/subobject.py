@@ -12,7 +12,7 @@ from __future__ import annotations
 from .caps import require_cap
 from .cover import Cover
 from .errors import BaseMismatchError
-from .sets import Subset, submasks
+from .sets import Subset, fixed_points, submasks
 from .verdict import Verdict
 
 
@@ -103,7 +103,7 @@ def induced_cover(parent: Cover, t: Subset) -> list[tuple[str, Subset]]:
     n = len(parent.base)
     require_cap("induced_cover", n, "single")
     comp = t.complement()
-    saturated = [m for m, sat in enumerate(parent.saturation_table()) if sat == m]
+    saturated = fixed_points(parent.saturation_table())
     out = []
     seen = set()
     for a_idx in range(n):

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 from .cover import Cover
 from .errors import ContinuityPreconditionError, MixedParentError, PartialTableError
 from .morphism import ValidatedMorphism
-from .sets import Subset, first_escape, meets_above, submasks
+from .sets import Subset, first_escape, fixed_points, meets_above, submasks
 from .verdict import Verdict
 
 
@@ -147,7 +147,7 @@ def is_fixed(t: OperatorTable, s: Subset) -> bool:
 
 
 def fixed_masks(t: OperatorTable) -> list[int]:
-    return [m for m, out in enumerate(t.table) if out == m]
+    return fixed_points(t.table)
 
 
 def fixed_carriers(t: OperatorTable) -> list[Subset]:

@@ -13,7 +13,6 @@ from covlat import (
     Relation,
     ValidatedMorphism,
     canonical_form,
-    check_preimage_continuity,
     equivalent,
     closed_subobjects,
     compare_closures,
@@ -126,15 +125,18 @@ class TestContinuity:
         assert v.witness["carrier"].base == free2.base
 
     def test_preimage_form_agrees_for_functions(self, free2):
+        # for a function, continuity is c_src(pre(W)) inside pre(c_tgt(W))
+        # for every target carrier W
         one = Cover.from_axiom_names(BaseSet(["x"]), [])
         r = Relation(free2.base, one.base, [("a", "x"), ("b", "x")])
         m = ValidatedMorphism.build(r, free2, one)
+        pre = r.preimages()
         for c in enumerate_closure_tables(free2):
             for d in enumerate_closure_tables(one):
-                assert (
-                    is_c_continuous(m, c, d).passed
-                    == check_preimage_continuity(m, c, d).passed
+                preimage_form = all(
+                    c.table[pre[w]] & ~pre[d.table[w]] == 0 for w in range(len(pre))
                 )
+                assert is_c_continuous(m, c, d).passed == preimage_form
 
 
     def test_continuity_is_of_the_relation_not_its_ccov_class(self):

@@ -19,7 +19,6 @@ from conftest import DATA, cli_env
 EXPORTS = {
     "caps": ["cap_for", "require_cap"],
     "closure": [
-        "check_preimage_continuity",
         "closed_subobjects",
         "compare_closures",
         "discrete_closure",
@@ -71,7 +70,6 @@ EXPORTS = {
     ],
     "interior": [
         "coreflection",
-        "corestriction_mask",
         "discrete_interior",
         "initial_interior_corrected",
         "initial_interior_paper",

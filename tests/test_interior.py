@@ -12,7 +12,6 @@ from covlat import (
     UpperBoundFailureError,
     ValidatedMorphism,
     coreflection,
-    corestriction_mask,
     discrete_interior,
     identity,
     initial_interior_corrected,
@@ -142,24 +141,32 @@ class TestInitialInterior:
 
     def test_corestriction(self, free2):
         m, one = self.collapse(free2)
-        # {x} pulls back to {a,b}; only the full source co-restricts to {x}
-        assert corestriction_mask(m, 3) == 1
-        assert corestriction_mask(m, 1) == 0
+        # {x} pulls back to {a,b}; only the full source co-restricts to {x},
+        # so the discrete interior pulls back to {a,b} there and to {} elsewhere
+        out = initial_interior_corrected(m, discrete_interior(one))
+        assert list(out.table) == [0, 0, 0, 3]
 
     @pytest.mark.parametrize("sizes", [(0, 2), (2, 0), (2, 2), (3, 2), (2, 3)])
     def test_corestriction_matches_definition(self, sizes):
-        # {w : preimage of {w} inside t}, over every relation and carrier
+        # {w : preimage of {w} inside t}, over every relation and carrier:
+        # the corrected pullback of the discrete interior is its preimage
         src = Cover(default_base(sizes[0]))
         tgt = Cover(BaseSet([f"x{i}" for i in range(sizes[1])]))
+        full_src, full_tgt = (1 << sizes[0]) - 1, (1 << sizes[1]) - 1
         for r in all_relations(src.base, tgt.base):
             m = ValidatedMorphism.build(r, src, tgt)
+            if r.preimage_minus_mask(full_tgt) != full_src:
+                with pytest.raises(UpperBoundFailureError):
+                    initial_interior_corrected(m, discrete_interior(tgt))
+                continue
+            out = initial_interior_corrected(m, discrete_interior(tgt))
             for t in range(1 << sizes[0]):
                 expected = sum(
                     1 << w
                     for w in range(sizes[1])
                     if r.preimage_minus_mask(1 << w) & ~t == 0
                 )
-                assert corestriction_mask(m, t) == expected
+                assert out.table[t] == r.preimage_minus_mask(expected)
 
     def test_corrected_passes_axioms_and_continuity(self, free2):
         m, one = self.collapse(free2)

@@ -4,9 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covlat import BaseMismatchError, BaseSet, ClosureTable, Cover
-from covlat.oracle import reflect_full
-from covlat.sets import first_escape, meets_above, union_over, unions
+from covlat import BaseMismatchError, BaseSet, ClosureTable, Cover, cover_from_table
+from covlat.oracle import (
+    default_base,
+    random_closure_table,
+    random_cover,
+    random_interior_table,
+    reflect_full,
+)
+from covlat.sets import first_escape, fixed_points, meets_above, union_over, unions
 from covlat.table import fixed_masks
 
 # Names whose sorted order differs from any natural base order: mixed case,
@@ -88,6 +94,13 @@ class TestSubsetsFromMasks:
                 s.base = other
             assert s.base is base
 
+    def test_keeps_the_given_mask_objects(self):
+        base = BaseSet([f"e{i}" for i in range(12)])
+        # ints above the small-int cache, each a distinct object
+        masks = [int(str(m)) for m in (4095, 257, 1000, 257)]
+        for s, m in zip(base.subsets_from_masks(iter(masks)), masks):
+            assert s.mask is m
+
     def test_all_subsets_in_mask_order(self):
         base = BaseSet(["b", "a", "c"])
         assert [s.mask for s in base.all_subsets()] == list(range(8))
@@ -137,6 +150,60 @@ class TestMeetsAbove:
         if n:
             t = ClosureTable(Cover(BaseSet([f"e{i}" for i in range(n)])), [m ^ 1 for m in range(1 << n)])
             assert meets_above(fixed_masks(t), n) == list(reflect_full(t).table)
+
+
+def fixed_by_scan(table):
+    """The masks a table fixes, by the enumerate scan."""
+    return [m for m, out in enumerate(table) if out == m]
+
+
+class TestFixedPoints:
+    """`fixed_points`, the one reader of the masks a table fixes, against
+    the enumerate scan, and the frames it gives."""
+
+    @pytest.mark.parametrize("n", [9, 12])
+    def test_free_frame_masks_are_the_table_entries(self, n):
+        cover = Cover(default_base(n))
+        table = cover.saturation_table()
+        frame = cover.saturated_sets()
+        assert len(frame) == 1 << n
+        assert all(s.mask is table[s.mask] for s in frame.sets)
+
+    def test_frame_of_a_given_table_keeps_its_entries(self):
+        base = default_base(9)
+        axioms = [(base.elements[0], base.elements[1:3]), (base.elements[8], base.elements[7:8])]
+        given = dict(enumerate(Cover.from_axiom_names(base, axioms).saturation_table()))
+        cover = cover_from_table(base, given)
+        frame = cover.saturated_sets()
+        assert [s.mask for s in frame.sets] == fixed_by_scan(given.values())
+        assert max(s.mask for s in frame.sets) > 256
+        assert all(s.mask is given[s.mask] is cover.saturation_table()[s.mask] for s in frame.sets)
+
+    @given(st.integers(0, 10_000), st.integers(0, 7))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_scan_on_saturation_tables(self, seed, n):
+        table = random_cover(random.Random(seed), n).saturation_table()
+        assert fixed_points(table) == fixed_by_scan(table)
+
+    @given(st.integers(0, 10_000), st.integers(0, 7))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_scan_on_any_table(self, seed, n):
+        rng = random.Random(seed)
+        parent = Cover(default_base(n))
+        full = (1 << n) - 1
+        tables = [
+            random_closure_table(rng, parent),
+            random_interior_table(rng, parent),
+            ClosureTable(parent, [m | rng.randrange(full + 1) for m in range(full + 1)]),
+            ClosureTable(parent, [rng.randrange(full + 1) for _ in range(full + 1)]),
+        ]
+        for t in tables:
+            assert fixed_points(t.table) == fixed_masks(t) == fixed_by_scan(t.table)
+
+    def test_empty_and_none_fixed(self):
+        assert fixed_points([]) == []
+        assert fixed_points([1, 0]) == []
+        assert fixed_points([0]) == [0]
 
 
 class TestFirstEscape:
