@@ -94,7 +94,7 @@ _EXPORTS = {
     ),
     "oracle": ("Certificate", "EnumerationBudget", "default_certificates"),
     "sets": ("BaseSet", "Subset"),
-    "subobject": ("Subobject", "SublocaleFamily", "SubobjectLattice", "induced_cover", "lattice", "p_star"),
+    "subobject": ("SublocaleFamily", "induced_cover", "p_star"),
     "table": ("ClosureTable", "InteriorTable"),
     "verdict": ("Verdict",),
 }

@@ -18,11 +18,12 @@ from .errors import (
     MixedParentError,
 )
 from .morphism import ValidatedMorphism
-from .sets import Subset, first_escape
+from .sets import Subset
 from .table import (
     ClosureTable,
     check_morphism_tables,
     compare,
+    escape,
     fixed_carriers,
     fixed_preimages,
     is_fixed,
@@ -30,6 +31,7 @@ from .table import (
     pointwise,
     pull_back,
     reflect,
+    require_axioms,
     scan_axioms,
 )
 from .verdict import Verdict
@@ -73,12 +75,8 @@ def is_c_continuous(
     the image, for every source subobject."""
     check_morphism_tables(m, c_src, c_tgt)
     images = m.relation.images()
-    t = first_escape(
-        map(images.__getitem__, c_src.table), map(c_tgt.table.__getitem__, images)
-    )
-    if t is None:
-        return Verdict.ok(len(images))
-    return Verdict.fail({"carrier": m.relation.source.subset_from_mask(t)}, t + 1)
+    inner = map(images.__getitem__, c_src.table)
+    return escape(inner, map(c_tgt.table.__getitem__, images), m.relation.source)
 
 
 # -- initial closure ---------------------------------------------------------
@@ -87,15 +85,17 @@ def is_c_continuous(
 def initial_closure(m: ValidatedMorphism, c_tgt: ClosureTable) -> ClosureTable:
     """Pull a closure table back along a morphism: image, close, preimage.
 
-    Requires the relation to be left-total (otherwise the extension axiom
-    fails; reported as an error with the least failing carrier).  The
-    result is re-verified: it must be a valid closure table and must make
+    A target table that fails its axioms is an input error.  Requires the
+    relation to be left-total (otherwise the extension axiom fails;
+    reported as an error with the least failing carrier).  The result is
+    re-verified: it must be a valid closure table and must make
     the morphism continuous.  For genuinely relational morphisms the
     continuity half can fail even on a valid table; that defect is raised,
     never patched.
     """
     if not c_tgt.parent.same_cover(m.target_cover):
         raise MixedParentError("table does not live on the morphism's target")
+    require_axioms(c_tgt, verify_closure_axioms(c_tgt))
     rel = m.relation
     if not rel.is_left_total():
         # a carrier escapes the preimage of its image exactly when it holds

@@ -21,11 +21,11 @@ from .errors import (
     UpperBoundFailureError,
 )
 from .morphism import ValidatedMorphism
-from .sets import first_escape
 from .table import (
     InteriorTable,
     check_morphism_tables,
     conjugate,
+    escape,
     fixed_carriers,
     fixed_preimages,
     is_fixed,
@@ -33,6 +33,7 @@ from .table import (
     pointwise,
     pull_back,
     reflect,
+    require_axioms,
     scan_axioms,
 )
 from .verdict import Verdict
@@ -75,12 +76,8 @@ def is_i_continuous(
     preimage, for every target subobject."""
     check_morphism_tables(m, i_src, i_tgt)
     preimages = m.relation.preimages()
-    t = first_escape(
-        map(preimages.__getitem__, i_tgt.table), map(i_src.table.__getitem__, preimages)
-    )
-    if t is None:
-        return Verdict.ok(len(preimages))
-    return Verdict.fail({"carrier": m.relation.target.subset_from_mask(t)}, t + 1)
+    inner = map(preimages.__getitem__, i_tgt.table)
+    return escape(inner, map(i_src.table.__getitem__, preimages), m.relation.target)
 
 
 # -- initial interior --------------------------------------------------------
@@ -106,12 +103,13 @@ def initial_interior_corrected(
 ) -> InteriorTable:
     """Pullback with the inner direct image replaced by the co-restriction.
 
-    Contraction holds by construction; the top-fixing axiom needs the
-    preimage of the full target to cover the full source (left-totality),
-    checked up front.
+    A target table that fails its axioms is an input error.  Contraction
+    holds by construction; the top-fixing axiom needs the preimage of the
+    full target to cover the full source (left-totality), checked up front.
     """
     if not i_tgt.parent.same_cover(m.target_cover):
         raise MixedParentError("table does not live on the morphism's target")
+    require_axioms(i_tgt, verify_interior_axioms(i_tgt))
     rel = m.relation
     full_src = (1 << len(rel.source)) - 1
     full_tgt = (1 << len(rel.target)) - 1

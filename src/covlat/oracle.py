@@ -59,7 +59,7 @@ from .table import OperatorTable
 from .verdict import Verdict, _jsonify
 
 if TYPE_CHECKING:  # annotations only: certify runs no subobject code
-    from .subobject import Subobject, SublocaleFamily, SubobjectLattice
+    from .subobject import SublocaleFamily
 
 
 class EnumerationBudget(
@@ -485,18 +485,6 @@ def sublocale_verify_full(family: SublocaleFamily) -> Verdict:
                     checked,
                 )
     return Verdict.ok(checked)
-
-
-def subobject_hasse_edges_full(lat: SubobjectLattice) -> list[tuple[Subobject, Subobject]]:
-    """Covering pairs found by testing every pair of subobjects; the
-    reference for ``SubobjectLattice.hasse_edges``."""
-    edges = []
-    for x in lat.elements():
-        for y in lat.elements():
-            diff = y.carrier.mask & ~x.carrier.mask
-            if x.carrier.issubset(y.carrier) and diff and diff & (diff - 1) == 0:
-                edges.append((x, y))
-    return edges
 
 
 # -- full-quantifier references for the singleton reductions -----------------

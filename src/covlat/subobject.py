@@ -1,10 +1,11 @@
-"""Subobjects of a cover and the lattice they form.
+"""Sublocale families and relativized axioms of a cover's subobjects.
 
-A subobject is identified by its carrier subset alone; the induced cover
-data (axioms relativized through the carrier's complement) is derived
-lazily.  The lattice of all subobjects is the full powerset of the base
-under inclusion, so meets and joins are plain carrier intersection and
-union.
+A subobject is its carrier, a subset of the base: the subobject lattice
+is the powerset of the base (``BaseSet.all_subsets()`` under ``&``, ``|``
+and ``<=``), the carriers every operator table is indexed by.  This
+module holds what a carrier induces: its sublocale family (``p_star``)
+and the parent's axioms relativized through its complement
+(``induced_cover``).
 """
 
 from __future__ import annotations
@@ -14,33 +15,6 @@ from .cover import Cover
 from .errors import BaseMismatchError
 from .sets import Subset, fixed_points, submasks
 from .verdict import Verdict
-
-
-class Subobject:
-    __slots__ = ("parent", "carrier")
-
-    def __init__(self, parent: Cover, carrier: Subset):
-        if carrier.base != parent.base:
-            raise BaseMismatchError("carrier is not over the parent base")
-        self.parent = parent
-        self.carrier = carrier
-
-    @property
-    def complement(self) -> Subset:
-        return self.carrier.complement()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subobject)
-            and self.parent.same_cover(other.parent)
-            and self.carrier == other.carrier
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.parent.base, self.carrier.mask))
-
-    def __repr__(self) -> str:
-        return f"Subobject({self.carrier!r})"
 
 
 class SublocaleFamily:
@@ -119,59 +93,3 @@ def induced_cover(parent: Cover, t: Subset) -> list[tuple[str, Subset]]:
             seen.add((a_idx, rhs))
             out.append((a, parent.base.subset_from_mask(rhs)))
     return out
-
-
-class SubobjectLattice:
-    """All subobjects of a cover, ordered by carrier inclusion."""
-
-    def __init__(self, parent: Cover):
-        self.parent = parent
-        self._elements: tuple[Subobject, ...] | None = None
-
-    @property
-    def top(self) -> Subobject:
-        return Subobject(self.parent, self.parent.base.full())
-
-    @property
-    def bottom(self) -> Subobject:
-        return Subobject(self.parent, self.parent.base.empty())
-
-    def elements(self) -> tuple[Subobject, ...]:
-        if self._elements is None:
-            n = len(self.parent.base)
-            require_cap("subobject_lattice", n, "respects")
-            self._elements = tuple(
-                Subobject(self.parent, s) for s in self.parent.base.all_subsets()
-            )
-        return self._elements
-
-    def __len__(self) -> int:
-        return len(self.elements())
-
-    def __iter__(self):
-        return iter(self.elements())
-
-    def meet(self, x: Subobject, y: Subobject) -> Subobject:
-        return Subobject(self.parent, x.carrier & y.carrier)
-
-    def join(self, x: Subobject, y: Subobject) -> Subobject:
-        return Subobject(self.parent, x.carrier | y.carrier)
-
-    def leq(self, x: Subobject, y: Subobject) -> bool:
-        return x.carrier.issubset(y.carrier)
-
-    def hasse_edges(self) -> list[tuple[Subobject, Subobject]]:
-        """The pairs (x, x + b), in the order of x and then of b; the
-        order of ``oracle.subobject_hasse_edges_full``."""
-        elements = self.elements()
-        n = len(self.parent.base)
-        return [
-            (x, elements[x.carrier.mask | 1 << b])
-            for x in elements
-            for b in range(n)
-            if not x.carrier.mask >> b & 1
-        ]
-
-
-def lattice(parent: Cover) -> SubobjectLattice:
-    return SubobjectLattice(parent)

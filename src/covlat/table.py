@@ -13,9 +13,9 @@ import operator
 from typing import Iterable, Mapping
 
 from .cover import Cover
-from .errors import ContinuityPreconditionError, MixedParentError, PartialTableError
+from .errors import ContinuityPreconditionError, InputError, MixedParentError, PartialTableError
 from .morphism import ValidatedMorphism
-from .sets import Subset, first_escape, fixed_points, meets_above, submasks
+from .sets import BaseSet, Subset, first_escape, fixed_points, meets_above, submasks
 from .verdict import Verdict
 
 
@@ -123,15 +123,20 @@ def pointwise(cls: type, family: Iterable[OperatorTable], meet: bool) -> Operato
     return cls(parent, out)
 
 
+def escape(inner: Iterable[int], outer: Iterable[int], base: BaseSet) -> Verdict:
+    """The least carrier over ``base`` where ``inner`` escapes ``outer``
+    (:func:`~covlat.sets.first_escape`), counting the carriers up to it, or a
+    pass over all 2^n: the one scan behind ``compare`` and continuity."""
+    m = first_escape(inner, outer)
+    if m is None:
+        return Verdict.ok(1 << len(base))
+    return Verdict.fail({"carrier": base.subset_from_mask(m)}, m + 1)
+
+
 def compare(s: OperatorTable, t: OperatorTable) -> Verdict:
     """Pointwise-order certificate with a witness carrier on failure: the
-    least carrier m with ``s(m)`` not inside ``t(m)``, found in one bulk
-    pass; ``checked`` counts the carriers up to it."""
-    common_parent([s, t])
-    m = first_escape(s.table, t.table)
-    if m is None:
-        return Verdict.ok(len(s.table))
-    return Verdict.fail({"carrier": s.parent.base.subset_from_mask(m)}, m + 1)
+    least carrier m with ``s(m)`` not inside ``t(m)``."""
+    return escape(s.table, t.table, common_parent([s, t]).base)
 
 
 def leq(s: OperatorTable, t: OperatorTable) -> bool:
@@ -161,6 +166,16 @@ def pull_back(m: ValidatedMorphism, tgt: OperatorTable, inner: list[int]) -> lis
     ``inner`` gives a target carrier for each source carrier, by mask."""
     pre = m.relation.preimages()
     return list(map(pre.__getitem__, map(tgt.table.__getitem__, inner)))
+
+
+def require_axioms(t: OperatorTable, axioms: Verdict) -> None:
+    """Reject ``t``, a table given as input, unless ``axioms``, its axiom
+    verdict, passes: the error names the failing axiom and its carriers as
+    sorted member lists."""
+    if not axioms.passed:
+        w = axioms.witness
+        where = ", ".join(f"{k} {v.sorted_members()}" for k, v in w.items() if k != "axiom")
+        raise InputError(f"target {t.kind} table fails {w['axiom']} at {where}")
 
 
 def fixed_preimages(

@@ -643,6 +643,25 @@ class TestOperatorCommands:
         report = json.loads(proc.stdout)
         assert report["kind"] == "interior"
 
+    @pytest.mark.parametrize(
+        "kind, outputs, message",
+        [
+            ("closure", [[], [], [], []], "target closure table fails C1 at carrier ['a']"),
+            ("interior", [[], ["a", "b"], ["b"], ["a", "b"]], "target interior table fails I1 at carrier ['a']"),
+        ],
+        ids=["closure", "interior"],
+    )
+    def test_initial_target_failing_its_axioms_is_one_line_input_error(
+        self, tmp_path, kind, outputs, message
+    ):
+        carriers = [[], ["a"], ["b"], ["a", "b"]]
+        rows = [list(row) for row in zip(carriers, outputs)]
+        table = {"cover": data_path("free2.json"), "kind": kind, "table": rows}
+        (tmp_path / "bad.json").write_text(json.dumps(table))
+        proc = run_cli("operator", "initial", data_path("id2.json"), "bad.json", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert (proc.stdout, proc.stderr) == ("", f"error: {message}\n")
+
     def test_kind_mismatch_is_input_error(self):
         proc = run_cli(
             "operator", "verify", "trivial_closure_free2.json", "--kind", "interior"

@@ -8,6 +8,7 @@ from covlat import (
     Cover,
     ExtensionFailureError,
     InitialContinuityDefectError,
+    InputError,
     MixedParentError,
     PartialTableError,
     Relation,
@@ -181,6 +182,26 @@ class TestInitialClosure:
         with pytest.raises(ExtensionFailureError) as exc:
             initial_closure(m, discrete_closure(one))
         assert exc.value.witness.sorted_members() == ["b"]
+
+    @pytest.mark.parametrize(
+        "fixture, table, message",
+        [
+            # nothing is closed over itself
+            ("free2", [0, 0, 0, 0], "C1 at carrier ['a']"),
+            # {a} closes to {a, b}, outside the closure {a, c} of {a, c}
+            ("m3_cover", [0, 3, 2, 3, 4, 5, 6, 7], "C2 at smaller ['a'], larger ['a', 'c']"),
+            ("free2", [1, 1, 3, 3], "C3 at carrier []"),
+        ],
+        ids=["C1", "C2", "C3"],
+    )
+    def test_target_failing_its_axioms_is_an_input_error(self, request, fixture, table, message):
+        # rejected as input, before the pullback could blame the lift
+        cover = request.getfixturevalue(fixture)
+        target = ClosureTable(cover, table)
+        with pytest.raises(InputError) as exc:
+            initial_closure(identity(cover), target)
+        assert str(exc.value) == f"target closure table fails {message}"
+        assert exc.value.exit_code == 2
 
     def test_relational_continuity_gap(self, free2):
         # a relates to both targets, b only to the first: the pulled-back

@@ -5,6 +5,7 @@ import pytest
 from covlat import (
     BaseSet,
     Cover,
+    InputError,
     InteriorTable,
     MixedParentError,
     PartialTableError,
@@ -183,6 +184,27 @@ class TestInitialInterior:
         monkeypatch.setattr(covlat.interior, "is_i_continuous", lambda *args: failing)
         with pytest.raises(CompositionDefectError, match="not continuous"):
             initial_interior_corrected(m, discrete_interior(one))
+
+    @pytest.mark.parametrize(
+        "fixture, table, message",
+        [
+            ("free2", [0, 3, 2, 3], "I1 at carrier ['a']"),
+            # the interior {a} of {a} escapes the empty interior of {a, b}
+            ("m3_cover", [0, 1, 2, 0, 4, 5, 6, 7], "I2 at smaller ['a'], larger ['a', 'b']"),
+            ("free2", [0, 0, 0, 2], "I3 at carrier ['a', 'b']"),
+        ],
+        ids=["I1", "I2", "I3"],
+    )
+    def test_corrected_target_failing_its_axioms_is_an_input_error(
+        self, request, fixture, table, message
+    ):
+        # an input error, not a library defect
+        cover = request.getfixturevalue(fixture)
+        target = InteriorTable(cover, table)
+        with pytest.raises(InputError) as exc:
+            initial_interior_corrected(identity(cover), target)
+        assert str(exc.value) == f"target interior table fails {message}"
+        assert exc.value.exit_code == 2
 
     def test_corrected_requires_totality(self, free2):
         one = Cover.from_axiom_names(BaseSet(["x"]), [])

@@ -8,15 +8,11 @@ from covlat import (
     BaseMismatchError,
     BaseSet,
     Cover,
-    Subobject,
     induced_cover,
-    lattice,
     p_star,
 )
 from covlat.oracle import (
     default_base,
-    random_cover,
-    subobject_hasse_edges_full,
     sublocale_verify_full,
 )
 
@@ -116,43 +112,3 @@ class TestInducedCover:
         with pytest.raises(BaseMismatchError):
             induced_cover(chain2, m3_cover.base.full())
 
-
-class TestSubobjectLattice:
-    def test_is_full_powerset(self, m3_cover):
-        lat = lattice(m3_cover)
-        assert len(lat) == 8
-        assert lat.top.carrier == m3_cover.base.full()
-        assert lat.bottom.carrier.mask == 0
-
-    def test_meet_join_leq(self, free2):
-        lat = lattice(free2)
-        xs = list(lat)
-        for x in xs:
-            for y in xs:
-                m = lat.meet(x, y)
-                j = lat.join(x, y)
-                assert lat.leq(m, x) and lat.leq(m, y)
-                assert lat.leq(x, j) and lat.leq(y, j)
-                # absorption
-                assert lat.join(x, lat.meet(x, y)) == x
-                assert lat.meet(x, lat.join(x, y)) == x
-
-    def test_hasse_edges_are_single_bit_steps(self, free2):
-        lat = lattice(free2)
-        edges = lat.hasse_edges()
-        assert len(edges) == 4  # diamond
-        for lo, hi in edges:
-            diff = hi.carrier.mask & ~lo.carrier.mask
-            assert diff and diff & (diff - 1) == 0
-
-    @pytest.mark.parametrize("size", range(7))
-    def test_hasse_edges_match_pair_scan(self, size):
-        lat = lattice(random_cover(random.Random(size), size))
-        edges = lat.hasse_edges()
-        assert edges == subobject_hasse_edges_full(lat)
-        assert len(edges) == size << size >> 1
-
-    def test_subobject_equality_and_complement(self, chain2):
-        a = Subobject(chain2, chain2.base.subset(["a"]))
-        assert a.complement.sorted_members() == ["b"]
-        assert a == Subobject(chain2, chain2.base.subset(["a"]))
