@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from .caps import require_cap
 from .cover import Cover
 from .errors import (
     ExtensionFailureError,
@@ -93,6 +94,7 @@ def initial_closure(m: ValidatedMorphism, c_tgt: ClosureTable) -> ClosureTable:
     continuity half can fail even on a valid table; that defect is raised,
     never patched.
     """
+    require_cap("initial_closure", len(m.relation.source), "single")
     if not c_tgt.parent.same_cover(m.target_cover):
         raise MixedParentError("table does not live on the morphism's target")
     require_axioms(c_tgt, verify_closure_axioms(c_tgt))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from .caps import require_cap
 from .cover import Cover
 from .errors import (
     CompositionDefectError,
@@ -91,6 +92,7 @@ def initial_interior_paper(
     The contraction axiom can fail for relational morphisms; the verdict
     records it and the (possibly invalid) table is returned alongside.
     """
+    require_cap("initial_interior_paper", len(m.relation.source), "single")
     if not i_tgt.parent.same_cover(m.target_cover):
         raise MixedParentError("table does not live on the morphism's target")
     table = pull_back(m, i_tgt, m.relation.images())
@@ -107,6 +109,7 @@ def initial_interior_corrected(
     holds by construction; the top-fixing axiom needs the preimage of the
     full target to cover the full source (left-totality), checked up front.
     """
+    require_cap("initial_interior_corrected", len(m.relation.source), "single")
     if not i_tgt.parent.same_cover(m.target_cover):
         raise MixedParentError("table does not live on the morphism's target")
     require_axioms(i_tgt, verify_interior_axioms(i_tgt))

@@ -306,3 +306,18 @@ def meets_above(marked: Iterable[int], n: int) -> list[int]:
         high = rows[1::2]
         rows = list(map(and_, rows[0::2], high)) + high
     return rows
+
+
+def joins_below(rows: Sequence[int]) -> list[int]:
+    """For every mask m, by mask: the union of ``rows[s]`` over the
+    submasks s of m; ``rows`` has one entry per mask over n bits.
+
+    The subset ("zeta") transform under union, dual to :func:`meets_above`:
+    for each bit b, every m with b takes in the entry of m - b, in one bulk
+    pass per bit, unshuffled the same way.
+    """
+    rows = list(rows)
+    for _ in range(len(rows).bit_length() - 1):
+        low = rows[0::2]
+        rows = low + list(map(or_, low, rows[1::2]))
+    return rows

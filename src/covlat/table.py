@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 from .cover import Cover
 from .errors import ContinuityPreconditionError, InputError, MixedParentError, PartialTableError
 from .morphism import ValidatedMorphism
-from .sets import BaseSet, Subset, first_escape, fixed_points, meets_above, submasks
+from .sets import BaseSet, Subset, first_escape, fixed_points, joins_below, meets_above, submasks
 from .verdict import Verdict
 
 
@@ -151,14 +151,10 @@ def is_fixed(t: OperatorTable, s: Subset) -> bool:
     return t.table[s.mask] == s.mask
 
 
-def fixed_masks(t: OperatorTable) -> list[int]:
-    return fixed_points(t.table)
-
-
 def fixed_carriers(t: OperatorTable) -> list[Subset]:
     """The carriers the table fixes, in mask order: the closed carriers of
     a closure table, the open ones of an interior table."""
-    return t.parent.base.subsets_from_masks(fixed_masks(t))
+    return t.parent.base.subsets_from_masks(fixed_points(t.table))
 
 
 def pull_back(m: ValidatedMorphism, tgt: OperatorTable, inner: list[int]) -> list[int]:
@@ -191,7 +187,7 @@ def fixed_preimages(
     rel = m.relation
     preimages = rel.preimages()
     checked = 0
-    for v in fixed_masks(tgt):
+    for v in fixed_points(tgt.table):
         checked += 1
         pre = preimages[v]
         if src.table[pre] != pre:
@@ -205,43 +201,10 @@ def reflect(t: OperatorTable) -> OperatorTable:
     where ``oracle.reflect_full`` tests every fixed carrier against every
     carrier.
     """
-    return type(t)(t.parent, meets_above(fixed_masks(t), len(t.parent.base)))
+    return type(t)(t.parent, meets_above(fixed_points(t.table), len(t.parent.base)))
 
 
 # -- axioms ------------------------------------------------------------------
-
-
-def _pairs_below(larger: int) -> int:
-    """The sum of 2^popcount(l) over l < ``larger``: how many submask pairs a
-    scan in mask order checks before it reaches ``larger``.
-
-    The l below ``larger`` that first differ from it at a set bit i agree
-    with it above i and are free below i; those free bits add 3^i (each
-    one absent, or present with its submask bit clear or set).
-    """
-    total = ones = 0
-    for i in reversed(range(larger.bit_length())):
-        if larger >> i & 1:
-            total += 3**i << ones
-            ones += 1
-    return total
-
-
-def _monotone(table) -> bool:
-    """Whether ``t(m - b) <= t(m)`` for every carrier m and bit b of m.
-
-    One bulk pass per bit, as in :func:`~covlat.sets.meets_above`: with
-    the bit at position 0, ``rows[0::2]`` and ``rows[1::2]`` pair each
-    m - b with m, and the unshuffled ``low + high`` brings the next bit
-    to position 0.
-    """
-    rows = list(table)
-    for _ in range(len(rows).bit_length() - 1):
-        low, high = rows[0::2], rows[1::2]
-        if list(map(operator.or_, low, high)) != high:
-            return False
-        rows = low + high
-    return True
 
 
 def scan_axioms(t: OperatorTable, label: str, extensive: bool, fixed: int) -> Verdict:
@@ -249,18 +212,14 @@ def scan_axioms(t: OperatorTable, label: str, extensive: bool, fixed: int) -> Ve
     extension (contraction unless ``extensive``), monotonicity, and fixing
     the carrier ``fixed``.
 
-    Extension is one bulk pass that names the least failing carrier.
-    Monotonicity is checked on one-bit edges only, ``t(m - b) <= t(m)`` for
-    each bit b of m, in n bulk passes (:func:`_monotone`): every submask
-    pair is joined by a chain of such edges.  Only a table that fails them
-    is scanned edge by edge, in mask order.  The first carrier L with a
-    failing edge is also the least carrier with any failing submask: if
-    every carrier below L passes and t(s) escapes t(L) for some s inside
-    L - b, then t(s) <= t(L - b), so the edge from L - b escapes too.  Only
-    the submasks of L are then scanned for the least failing one, and
-    ``checked`` counts, as ``oracle.scan_axioms_full`` does, every submask
-    pair of the carriers below L.  A passing verdict counts the 2^n
-    extension cases, the n * 2^(n-1) edges and the fixed carrier.
+    Extension is one bulk pass that names the least failing carrier.  For
+    monotonicity, :func:`~covlat.sets.joins_below` joins each entry with
+    those of its submasks, so the least carrier L where the joined table
+    escapes the table is the least carrier with a failing submask; only
+    the submasks of L are then scanned for the least failing one.  ``checked`` counts as
+    ``oracle.scan_axioms_full`` does: on a failure, every submask pair of
+    the carriers below L; on a pass, the 2^n extension cases, the
+    n * 2^(n-1) one-bit edges that imply monotonicity and the fixed carrier.
     """
     base = t.parent.base
     table = t.table
@@ -269,24 +228,20 @@ def scan_axioms(t: OperatorTable, label: str, extensive: bool, fixed: int) -> Ve
     if bad is not None:
         return Verdict.fail({"axiom": f"{label}1", "carrier": base.subset_from_mask(bad)}, bad + 1)
     checked = size
-    if not _monotone(table):
-        for larger, out_larger in enumerate(table):
-            bits = larger
-            while bits:
-                low = bits & -bits
-                if table[larger ^ low] & ~out_larger:
-                    position, smaller = next(
-                        (i, s) for i, s in enumerate(submasks(larger), 1) if table[s] & ~out_larger
-                    )
-                    return Verdict.fail(
-                        {
-                            "axiom": f"{label}2",
-                            "smaller": base.subset_from_mask(smaller),
-                            "larger": base.subset_from_mask(larger),
-                        },
-                        checked + _pairs_below(larger) + position,
-                    )
-                bits ^= low
+    larger = first_escape(joins_below(table), table)
+    if larger is not None:
+        out_larger = table[larger]
+        position, smaller = next(
+            (i, s) for i, s in enumerate(submasks(larger), 1) if table[s] & ~out_larger
+        )
+        return Verdict.fail(
+            {
+                "axiom": f"{label}2",
+                "smaller": base.subset_from_mask(smaller),
+                "larger": base.subset_from_mask(larger),
+            },
+            checked + sum(1 << m.bit_count() for m in range(larger)) + position,
+        )
     if table[fixed] != fixed:
         # counted as the full scan counts it: after all 3^n submask pairs
         return Verdict.fail(

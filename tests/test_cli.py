@@ -22,7 +22,7 @@ from covlat import (
 )
 from covlat import cli, errors
 from covlat.cli import build_parser, main
-from covlat.fileio import operator_to_json, space_to_json, parse_space
+from covlat.fileio import operator_text, operator_to_json, space_to_json, parse_space
 from conftest import DATA, cli_env, data_path, golden, run_cli
 
 
@@ -661,6 +661,88 @@ class TestOperatorCommands:
         proc = run_cli("operator", "initial", data_path("id2.json"), "bad.json", cwd=tmp_path)
         assert proc.returncode == 2
         assert (proc.stdout, proc.stderr) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "size, env", [(17, {}), (3, {"COVLAT_MAX_BASE": "2"})], ids=["hard-cap", "override"]
+    )
+    @pytest.mark.parametrize(
+        "args, what",
+        [
+            (["trivial_closure_free2.json"], "initial_closure"),
+            (["discrete_interior_free2.json", "--kind", "interior"], "initial_interior_corrected"),
+            (["discrete_interior_free2.json", "--kind", "interior", "--initial-mode", "paper"],
+             "initial_interior_paper"),
+        ],
+        ids=["closure", "interior-corrected", "interior-paper"],
+    )
+    def test_initial_lift_over_the_single_cap_is_three(self, tmp_path, size, env, args, what):
+        # every lift quantifies over all 2^n source carriers
+        names = [f"e{i}" for i in range(size)]
+        (tmp_path / "src.json").write_text(json.dumps({"base": names, "axioms": []}))
+        rel = {"source": "src.json", "target": data_path("free2.json"), "pairs": [[e, "a"] for e in names]}
+        (tmp_path / "rel.json").write_text(json.dumps(rel))
+        proc = run_cli("operator", "initial", "rel.json", data_path(args[0]), *args[1:], cwd=tmp_path, env=env)
+        assert proc.returncode == 3
+        cap = 2 if env else 16
+        assert (proc.stdout, proc.stderr) == ("", f"error: {what}: base size {size} exceeds cap {cap}\n")
+
+    @pytest.mark.parametrize(
+        "action, kind",
+        [(action, kind) for action in cli.OPERATOR_OPERANDS for kind in ("closure", "interior")]
+        + [("join", "mixed"), ("meet", "mixed")],
+    )
+    def test_every_action_and_kind_prints_the_library_result(self, tmp_path, action, kind):
+        from covlat import closure as cl, interior as it
+
+        free2 = load_instance(data_path("free2.json"))
+        # an upper and a lower table of each kind; "mixed" pairs an upper
+        # closure with a lower interior
+        upper = {"closure": cl.trivial_closure(free2), "interior": it.discrete_interior(free2)}
+        lower = {"closure": cl.discrete_closure(free2), "interior": it.trivial_interior(free2)}
+        first = upper["closure" if kind == "mixed" else kind]
+        second = lower["interior" if kind == "mixed" else kind]
+        for name, t in [("upper.json", first), ("lower.json", second)]:
+            (tmp_path / name).write_text(json.dumps(operator_to_json(t, data_path("free2.json"))))
+        m = cli._morphism(Workspace(), data_path("id2.json"))
+        files = {
+            "verify": ["upper.json"],
+            "join": ["upper.json", "lower.json"],
+            "meet": ["upper.json", "lower.json"],
+            "initial": [data_path("id2.json"), "upper.json"],
+            "reflect": ["upper.json"],
+            "coreflect": ["upper.json"],
+            "continuity": [data_path("id2.json"), "upper.json", "lower.json"],
+        }[action]
+        proc = run_cli("operator", action, *files, cwd=tmp_path)
+
+        closure = first.kind == "closure"
+        exit_code, error = 0, None
+        if action == "verify":
+            v = (cl.verify_closure_axioms if closure else it.verify_interior_axioms)(first)
+            out = dump_json({"file": "upper.json", "verdict": v.to_json(), "pass": v.passed})
+            exit_code = 0 if v.passed else 1
+        elif action == "continuity":
+            v = (cl.is_c_continuous if closure else it.is_i_continuous)(m, first, second)
+            out, exit_code = dump_json({"verdict": v.to_json(), "pass": v.passed}), 0 if v.passed else 1
+        elif kind == "mixed":
+            exit_code, error = 2, "cannot combine closure and interior tables"
+        elif action in ("join", "meet"):
+            lib = {
+                "join": cl.join_closures if closure else it.join_interiors,
+                "meet": cl.meet_closures if closure else it.meet_interiors,
+            }[action]
+            out = operator_text(lib([first, second]), "<combined>")
+        elif action == "initial":
+            out = operator_text((cl.initial_closure if closure else it.initial_interior_corrected)(m, first), "<initial>")
+        elif closure == (action == "reflect"):
+            out = operator_text((cl.reflection if closure else it.coreflection)(first), "<derived>")
+        else:
+            exit_code, error = 2, f"{action} expects {'a closure' if action == 'reflect' else 'an interior'} table"
+        assert proc.returncode == exit_code, proc.stderr
+        if error is None:
+            assert proc.stdout == out + "\n"
+        else:
+            assert (proc.stdout, proc.stderr) == ("", f"error: {error}\n")
 
     def test_kind_mismatch_is_input_error(self):
         proc = run_cli(

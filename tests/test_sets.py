@@ -13,7 +13,6 @@ from covlat.oracle import (
     reflect_full,
 )
 from covlat.sets import first_escape, fixed_points, meets_above, union_over, unions
-from covlat.table import fixed_masks
 
 # Names whose sorted order differs from any natural base order: mixed case,
 # digits, prefixes of one another, and non-ASCII letters that sort after "z".
@@ -126,7 +125,7 @@ class TestMeetsAbove:
         if n == 0:
             marked = {0}  # the only table on an empty base fixes its carrier
         t = self.table_with_fixed(n, marked)
-        assert set(fixed_masks(t)) == marked
+        assert set(fixed_points(t.table)) == marked
         assert meets_above(marked, n) == list(reflect_full(t).table)
 
     @pytest.mark.parametrize("n", [0, 1])
@@ -149,7 +148,7 @@ class TestMeetsAbove:
         assert meets_above([], n) == [(1 << n) - 1] * (1 << n)
         if n:
             t = ClosureTable(Cover(BaseSet([f"e{i}" for i in range(n)])), [m ^ 1 for m in range(1 << n)])
-            assert meets_above(fixed_masks(t), n) == list(reflect_full(t).table)
+            assert meets_above(fixed_points(t.table), n) == list(reflect_full(t).table)
 
 
 def fixed_by_scan(table):
@@ -198,7 +197,7 @@ class TestFixedPoints:
             ClosureTable(parent, [rng.randrange(full + 1) for _ in range(full + 1)]),
         ]
         for t in tables:
-            assert fixed_points(t.table) == fixed_masks(t) == fixed_by_scan(t.table)
+            assert fixed_points(t.table) == fixed_by_scan(t.table)
 
     def test_empty_and_none_fixed(self):
         assert fixed_points([]) == []

@@ -43,7 +43,8 @@ from covlat.oracle import (
     saturation_table_full,
     scan_axioms_full,
 )
-from covlat.table import _monotone, _pairs_below, compare, conjugate, pull_back, reflect, scan_axioms
+from covlat.sets import joins_below, submasks
+from covlat.table import compare, conjugate, pull_back, reflect, scan_axioms
 from covlat.verdict import Verdict
 
 
@@ -195,11 +196,6 @@ def test_passing_check_counts_one_bit_edges():
     assert verify_interior_axioms(trivial_interior(cover)).checked == 8 + 12 + 1
 
 
-def test_pairs_below_counts_the_submask_pairs_of_smaller_carriers():
-    for larger in range(1 << 10):
-        assert _pairs_below(larger) == sum(1 << m.bit_count() for m in range(larger))
-
-
 def late_carrier_closure(n):
     """t(m) = m + {e0} if e1 is in m, else m; but the carrier without e0 is
     fixed, so its least failing submask is {e1}, late in mask order."""
@@ -245,17 +241,23 @@ def test_axiom_check_matches_full_scan_on_every_small_table(n):
 
 @given(st.integers(0, 10_000), st.integers(0, 6), st.integers(0, 3))
 @settings(max_examples=100, deadline=None)
-def test_monotone_passes_match_one_bit_edges(seed, n, breaks):
+def test_joins_below_unions_the_submask_entries(seed, n, breaks):
     rng = random.Random(seed)
     size = 1 << n
     table = [m | rng.randrange(size) & rng.randrange(size) for m in range(size)]
     table = monotone_hull(table, n)
     for _ in range(breaks):
         table[rng.randrange(size)] = rng.randrange(size)
+    joined = joins_below(table)
+    expected = [0] * size
+    for m in range(size):
+        for s in submasks(m):
+            expected[m] |= table[s]
+    assert joined == expected
     edges = all(
         table[m ^ 1 << b] & ~table[m] == 0 for m in range(size) for b in range(n) if m >> b & 1
     )
-    assert _monotone(table) == edges
+    assert (joined == table) == edges
 
 
 def monotone_hull(table, n):
