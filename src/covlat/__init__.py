@@ -16,15 +16,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "caps": ("cap_for", "require_cap"),
     "closure": (
-        "closed_subobjects",
-        "compare_closures",
         "discrete_closure",
         "initial_closure",
         "is_c_continuous",
-        "is_closed",
         "is_dense",
         "join_closures",
-        "leq_closures",
         "meet_closures",
         "preservation_checks",
         "reflection",
@@ -71,12 +67,9 @@ _EXPORTS = {
         "initial_interior_corrected",
         "initial_interior_paper",
         "is_i_continuous",
-        "is_open",
         "join_interiors",
-        "leq_interiors",
         "meet_interiors",
         "open_preimage_check",
-        "open_subobjects",
         "trivial_interior",
         "verify_interior_axioms",
     ),
@@ -95,7 +88,7 @@ _EXPORTS = {
     "oracle": ("Certificate", "EnumerationBudget", "default_certificates"),
     "sets": ("BaseSet", "Subset"),
     "subobject": ("SublocaleFamily", "induced_cover", "p_star"),
-    "table": ("ClosureTable", "InteriorTable"),
+    "table": ("ClosureTable", "InteriorTable", "compare", "fixed_carriers", "is_fixed", "leq"),
     "verdict": ("Verdict",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

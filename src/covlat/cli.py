@@ -194,7 +194,9 @@ def cmd_operator(args) -> int:
         _emit({"verdict": verdict.to_json(), "pass": verdict.passed})
         return 0 if verdict.passed else 1
 
-    if action == "initial" and not closure and args.initial_mode == "paper":
+    if action == "initial" and args.initial_mode == "paper":
+        if closure:
+            raise InputError("initial --initial-mode paper expects an interior table")
         candidate, verdict = it.initial_interior_paper(m, table)
         report = [
             ("mode", dump_json("paper")),

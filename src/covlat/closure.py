@@ -1,10 +1,10 @@
 """Closure-operator tables on subobject lattices.
 
-The table structure, its lattice operations and the axiom scan are shared
-with interior tables in :mod:`covlat.table`; this module holds what is
-particular to closures.  The table axioms are extension, monotonicity and
-fixing the bottom; idempotence is not required (and is verified only
-where claimed, i.e. for the reflection).
+The table structure, its lattice operations, order, fixed carriers and
+axiom scan are shared with interior tables in :mod:`covlat.table`; this
+module holds what is particular to closures.  The table axioms are
+extension, monotonicity and fixing the bottom; idempotence is not
+required (and is verified only where claimed, i.e. for the reflection).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from typing import Iterable
 from .caps import require_cap
 from .cover import Cover
 from .errors import (
+    CompositionDefectError,
     ExtensionFailureError,
     InitialContinuityDefectError,
     MixedParentError,
@@ -23,12 +24,8 @@ from .sets import Subset
 from .table import (
     ClosureTable,
     check_morphism_tables,
-    compare,
     escape,
-    fixed_carriers,
     fixed_preimages,
-    is_fixed,
-    leq,
     pointwise,
     pull_back,
     reflect,
@@ -40,7 +37,7 @@ from .verdict import Verdict
 
 def verify_closure_axioms(candidate: ClosureTable) -> Verdict:
     """Extension (C1), monotonicity (C2) and fixing the bottom (C3)."""
-    return scan_axioms(candidate, "C", extensive=True, fixed=0)
+    return scan_axioms(candidate)
 
 
 def discrete_closure(parent: Cover) -> ClosureTable:
@@ -60,10 +57,6 @@ def join_closures(family: Iterable[ClosureTable]) -> ClosureTable:
 
 def meet_closures(family: Iterable[ClosureTable]) -> ClosureTable:
     return pointwise(ClosureTable, family, meet=True)
-
-
-leq_closures = leq
-compare_closures = compare
 
 
 # -- continuity --------------------------------------------------------------
@@ -89,10 +82,10 @@ def initial_closure(m: ValidatedMorphism, c_tgt: ClosureTable) -> ClosureTable:
     A target table that fails its axioms is an input error.  Requires the
     relation to be left-total (otherwise the extension axiom fails;
     reported as an error with the least failing carrier).  The result is
-    re-verified: it must be a valid closure table and must make
-    the morphism continuous.  For genuinely relational morphisms the
-    continuity half can fail even on a valid table; that defect is raised,
-    never patched.
+    re-verified: it must be a valid closure table, which holds by proof
+    once the checks above pass, and must make the morphism continuous.
+    For genuinely relational morphisms the continuity half can fail even
+    on a valid table; that defect is raised, never patched.
     """
     require_cap("initial_closure", len(m.relation.source), "single")
     if not c_tgt.parent.same_cover(m.target_cover):
@@ -108,8 +101,7 @@ def initial_closure(m: ValidatedMorphism, c_tgt: ClosureTable) -> ClosureTable:
     result = ClosureTable(m.source_cover, pull_back(m, c_tgt, rel.images()))
     axioms = verify_closure_axioms(result)
     if not axioms.passed:
-        witness = axioms.witness.get("carrier", axioms.witness.get("smaller"))
-        raise InitialContinuityDefectError(witness)
+        raise CompositionDefectError(f"initial closure fails its axioms: {axioms.witness}")
     cont = is_c_continuous(m, result, c_tgt)
     if not cont.passed:
         raise InitialContinuityDefectError(cont.witness["carrier"])
@@ -119,14 +111,8 @@ def initial_closure(m: ValidatedMorphism, c_tgt: ClosureTable) -> ClosureTable:
 # -- closed and dense subobjects ---------------------------------------------
 
 
-is_closed = is_fixed
-
-
 def is_dense(c: ClosureTable, t: Subset) -> bool:
     return c.table[t.mask] == (1 << len(c.parent.base)) - 1
-
-
-closed_subobjects = fixed_carriers
 
 
 def preservation_checks(

@@ -41,8 +41,8 @@ class MorphismValidationError(CovlatError):
 
 class CompositionDefectError(CovlatError):
     """A construction that holds by proof failed its re-verification: the
-    composite of two validated morphisms, or the corrected initial
-    interior table.
+    composite of two validated morphisms, the corrected initial interior
+    table, or the axioms of the initial closure table.
 
     This indicates a library defect, not bad input; it is raised rather
     than silently swallowed so it can be reported.

@@ -27,10 +27,7 @@ from .table import (
     check_morphism_tables,
     conjugate,
     escape,
-    fixed_carriers,
     fixed_preimages,
-    is_fixed,
-    leq,
     pointwise,
     pull_back,
     reflect,
@@ -42,7 +39,7 @@ from .verdict import Verdict
 
 def verify_interior_axioms(candidate: InteriorTable) -> Verdict:
     """Contraction (I1), monotonicity (I2) and fixing the top (I3)."""
-    return scan_axioms(candidate, "I", extensive=False, fixed=len(candidate.table) - 1)
+    return scan_axioms(candidate)
 
 
 def discrete_interior(parent: Cover) -> InteriorTable:
@@ -62,9 +59,6 @@ def join_interiors(family: Iterable[InteriorTable]) -> InteriorTable:
 
 def meet_interiors(family: Iterable[InteriorTable]) -> InteriorTable:
     return pointwise(InteriorTable, family, meet=True)
-
-
-leq_interiors = leq
 
 
 # -- continuity --------------------------------------------------------------
@@ -138,10 +132,6 @@ def initial_interior_corrected(
 
 
 # -- open subobjects ---------------------------------------------------------
-
-
-is_open = is_fixed
-open_subobjects = fixed_carriers
 
 
 def open_preimage_check(

@@ -24,7 +24,6 @@ from .closure import (
     ClosureTable,
     initial_closure,
     is_c_continuous,
-    verify_closure_axioms,
 )
 from .cover import (
     Cover,
@@ -44,7 +43,6 @@ from .interior import (
     InteriorTable,
     initial_interior_corrected,
     is_i_continuous,
-    verify_interior_axioms,
 )
 from .morphism import (
     MorphismClass,
@@ -55,7 +53,7 @@ from .morphism import (
     respects_covers,
 )
 from .sets import BaseSet, Subset, submasks
-from .table import OperatorTable
+from .table import OperatorTable, scan_axioms
 from .verdict import Verdict, _jsonify
 
 if TYPE_CHECKING:  # annotations only: certify runs no subobject code
@@ -211,23 +209,23 @@ def random_interior_table(rng: random.Random, parent: Cover) -> InteriorTable:
     return InteriorTable(parent, raw)
 
 
-def _valid_tables(what: str, cls: type, verify, parent: Cover):
+def _valid_tables(what: str, cls: type, parent: Cover):
     n = len(parent.base)
     require_cap(what, n, "double")
     size = 1 << n
     for outputs in itertools.product(range(size), repeat=size):
         candidate = cls(parent, outputs)
-        if verify(candidate).passed:
+        if scan_axioms(candidate).passed:
             yield candidate
 
 
 def enumerate_closure_tables(parent: Cover):
     """All valid closure tables; feasible only for tiny bases."""
-    return _valid_tables("enumerate_closure_tables", ClosureTable, verify_closure_axioms, parent)
+    return _valid_tables("enumerate_closure_tables", ClosureTable, parent)
 
 
 def enumerate_interior_tables(parent: Cover):
-    return _valid_tables("enumerate_interior_tables", InteriorTable, verify_interior_axioms, parent)
+    return _valid_tables("enumerate_interior_tables", InteriorTable, parent)
 
 
 def coreflection_direct(i: InteriorTable) -> InteriorTable:
@@ -377,17 +375,17 @@ def respects_covers_every_cover(r: Relation, c1: Cover, c2: Cover) -> Verdict:
 # -- (``SublocaleFamily.verify`` re-runs its scan on failure, for the witness) -
 
 
-def scan_axioms_full(t: OperatorTable, label: str, extensive: bool, fixed: int) -> Verdict:
-    """The operator-table axioms with monotonicity tested on every submask
+def scan_axioms_full(t: OperatorTable) -> Verdict:
+    """The axioms of ``t``'s kind with monotonicity tested on every submask
     pair; the reference for ``table.scan_axioms``."""
     base = t.parent.base
     table = t.table
     checked = 0
     for mask, out in enumerate(table):
         checked += 1
-        if (mask & ~out) if extensive else (out & ~mask):
+        if (mask & ~out) if t.extensive else (out & ~mask):
             return Verdict.fail(
-                {"axiom": f"{label}1", "carrier": base.subset_from_mask(mask)}, checked
+                {"axiom": f"{t.axiom}1", "carrier": base.subset_from_mask(mask)}, checked
             )
     for larger, out_larger in enumerate(table):
         for smaller in submasks(larger):
@@ -395,16 +393,16 @@ def scan_axioms_full(t: OperatorTable, label: str, extensive: bool, fixed: int) 
             if table[smaller] & ~out_larger:
                 return Verdict.fail(
                     {
-                        "axiom": f"{label}2",
+                        "axiom": f"{t.axiom}2",
                         "smaller": base.subset_from_mask(smaller),
                         "larger": base.subset_from_mask(larger),
                     },
                     checked,
                 )
     checked += 1
-    if table[fixed] != fixed:
+    if table[t.fixed] != t.fixed:
         return Verdict.fail(
-            {"axiom": f"{label}3", "carrier": base.subset_from_mask(fixed)}, checked
+            {"axiom": f"{t.axiom}3", "carrier": base.subset_from_mask(t.fixed)}, checked
         )
     return Verdict.ok(checked)
 

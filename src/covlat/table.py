@@ -20,10 +20,17 @@ from .verdict import Verdict
 
 
 class OperatorTable:
-    """A total map carrier -> carrier on the subobject lattice of a cover."""
+    """A total map carrier -> carrier on the subobject lattice of a cover.
+
+    Each kind names its axioms ``axiom`` 1-3 and is ``extensive`` (closure)
+    or contractive (interior); the carrier it must fix, ``fixed``, is the
+    bottom for an extensive kind and the top otherwise.
+    """
 
     __slots__ = ("parent", "table")
     kind: str
+    axiom: str
+    extensive: bool
 
     def __init__(self, parent: Cover, table: Iterable[int]):
         entries = tuple(table)
@@ -55,15 +62,19 @@ class OperatorTable:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({list(self.table)!r})"
 
+    @property
+    def fixed(self) -> int:
+        return 0 if self.extensive else len(self.table) - 1
+
 
 class ClosureTable(OperatorTable):
     __slots__ = ()
-    kind = "closure"
+    kind, axiom, extensive = "closure", "C", True
 
 
 class InteriorTable(OperatorTable):
     __slots__ = ()
-    kind = "interior"
+    kind, axiom, extensive = "interior", "I", False
 
 
 def conjugate(t: OperatorTable) -> OperatorTable:
@@ -207,10 +218,10 @@ def reflect(t: OperatorTable) -> OperatorTable:
 # -- axioms ------------------------------------------------------------------
 
 
-def scan_axioms(t: OperatorTable, label: str, extensive: bool, fixed: int) -> Verdict:
-    """Axioms ``label`` 1-3, each failure with its least witness in mask order:
-    extension (contraction unless ``extensive``), monotonicity, and fixing
-    the carrier ``fixed``.
+def scan_axioms(t: OperatorTable) -> Verdict:
+    """The axioms of ``t``'s kind, each failure with its least witness in
+    mask order: extension (contraction unless the kind is extensive),
+    monotonicity, and fixing the kind's fixed carrier.
 
     Extension is one bulk pass that names the least failing carrier.  For
     monotonicity, :func:`~covlat.sets.joins_below` joins each entry with
@@ -224,9 +235,9 @@ def scan_axioms(t: OperatorTable, label: str, extensive: bool, fixed: int) -> Ve
     base = t.parent.base
     table = t.table
     size = len(table)
-    bad = first_escape(range(size), table) if extensive else first_escape(table, range(size))
+    bad = first_escape(range(size), table) if t.extensive else first_escape(table, range(size))
     if bad is not None:
-        return Verdict.fail({"axiom": f"{label}1", "carrier": base.subset_from_mask(bad)}, bad + 1)
+        return Verdict.fail({"axiom": f"{t.axiom}1", "carrier": base.subset_from_mask(bad)}, bad + 1)
     checked = size
     larger = first_escape(joins_below(table), table)
     if larger is not None:
@@ -236,16 +247,16 @@ def scan_axioms(t: OperatorTable, label: str, extensive: bool, fixed: int) -> Ve
         )
         return Verdict.fail(
             {
-                "axiom": f"{label}2",
+                "axiom": f"{t.axiom}2",
                 "smaller": base.subset_from_mask(smaller),
                 "larger": base.subset_from_mask(larger),
             },
             checked + sum(1 << m.bit_count() for m in range(larger)) + position,
         )
-    if table[fixed] != fixed:
+    if table[t.fixed] != t.fixed:
         # counted as the full scan counts it: after all 3^n submask pairs
         return Verdict.fail(
-            {"axiom": f"{label}3", "carrier": base.subset_from_mask(fixed)},
+            {"axiom": f"{t.axiom}3", "carrier": base.subset_from_mask(t.fixed)},
             checked + 3 ** len(base) + 1,
         )
     return Verdict.ok(checked + len(base) * size // 2 + 1)

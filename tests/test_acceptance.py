@@ -30,8 +30,7 @@ from covlat import (
     is_i_continuous,
     join_closures,
     join_interiors,
-    leq_closures,
-    leq_interiors,
+    leq,
     load_instance,
     meet_closures,
     meet_interiors,
@@ -150,7 +149,7 @@ def test_criterion_04_operator_lattices(free2):
     disc_c, triv_c = discrete_closure(free2), trivial_closure(free2)
     disc_i, triv_i = discrete_interior(free2), trivial_interior(free2)
     for c in closures:
-        assert leq_closures(disc_c, c) and leq_closures(c, triv_c)
+        assert leq(disc_c, c) and leq(c, triv_c)
         for d in closures:
             j, m = join_closures([c, d]), meet_closures([c, d])
             assert verify_closure_axioms(j).passed
@@ -158,7 +157,7 @@ def test_criterion_04_operator_lattices(free2):
             assert join_closures([c, meet_closures([c, d])]) == c
             assert meet_closures([c, join_closures([c, d])]) == c
     for i in interiors:
-        assert leq_interiors(i, disc_i) and leq_interiors(triv_i, i)
+        assert leq(i, disc_i) and leq(triv_i, i)
         for k in interiors:
             j, m = join_interiors([i, k]), meet_interiors([i, k])
             assert verify_interior_axioms(j).passed
@@ -188,7 +187,7 @@ def test_criterion_05_initial_closure(chain2):
                 continue
             defined += 1
             for c_prime in enumerate_closure_tables(m.source_cover):
-                assert is_c_continuous(m, c_prime, c_tgt).passed == leq_closures(
+                assert is_c_continuous(m, c_prime, c_tgt).passed == leq(
                     c_prime, cinit
                 )
     assert defined >= 100
@@ -215,7 +214,7 @@ def test_criterion_06_initial_interior(free2):
             assert verify_interior_axioms(iinit).passed
             checked += 1
             for i_prime in enumerate_interior_tables(m.source_cover):
-                assert is_i_continuous(m, i_prime, i_tgt).passed == leq_interiors(
+                assert is_i_continuous(m, i_prime, i_tgt).passed == leq(
                     iinit, i_prime
                 )
     assert checked >= 100

@@ -689,11 +689,15 @@ class TestOperatorCommands:
     @pytest.mark.parametrize(
         "action, kind",
         [(action, kind) for action in cli.OPERATOR_OPERANDS for kind in ("closure", "interior")]
-        + [("join", "mixed"), ("meet", "mixed")],
+        + [("join", "mixed"), ("meet", "mixed"), ("initial-paper", "closure")],
     )
     def test_every_action_and_kind_prints_the_library_result(self, tmp_path, action, kind):
         from covlat import closure as cl, interior as it
 
+        # "initial-paper" is initial with --initial-mode paper, which only
+        # interior tables take
+        paper = action == "initial-paper"
+        action = "initial" if paper else action
         free2 = load_instance(data_path("free2.json"))
         # an upper and a lower table of each kind; "mixed" pairs an upper
         # closure with a lower interior
@@ -713,7 +717,7 @@ class TestOperatorCommands:
             "coreflect": ["upper.json"],
             "continuity": [data_path("id2.json"), "upper.json", "lower.json"],
         }[action]
-        proc = run_cli("operator", action, *files, cwd=tmp_path)
+        proc = run_cli("operator", action, *files, *["--initial-mode", "paper"] * paper, cwd=tmp_path)
 
         closure = first.kind == "closure"
         exit_code, error = 0, None
@@ -726,6 +730,8 @@ class TestOperatorCommands:
             out, exit_code = dump_json({"verdict": v.to_json(), "pass": v.passed}), 0 if v.passed else 1
         elif kind == "mixed":
             exit_code, error = 2, "cannot combine closure and interior tables"
+        elif paper:
+            exit_code, error = 2, "initial --initial-mode paper expects an interior table"
         elif action in ("join", "meet"):
             lib = {
                 "join": cl.join_closures if closure else it.join_interiors,

@@ -14,29 +14,30 @@ from covlat import (
     Relation,
     ValidatedMorphism,
     canonical_form,
-    equivalent,
-    closed_subobjects,
-    compare_closures,
+    compare,
     discrete_closure,
+    equivalent,
+    fixed_carriers,
     identity,
     initial_closure,
     is_c_continuous,
-    is_closed,
     is_dense,
+    is_fixed,
     join_closures,
-    leq_closures,
+    leq,
     meet_closures,
     preservation_checks,
     reflection,
     trivial_closure,
     verify_closure_axioms,
 )
-from covlat.errors import ContinuityPreconditionError
+from covlat.errors import CompositionDefectError, ContinuityPreconditionError
 from covlat.oracle import (
     enumerate_closure_tables,
     random_closure_table,
     random_cover,
 )
+from covlat.verdict import Verdict
 
 
 class TestAxioms:
@@ -98,11 +99,11 @@ class TestLattice:
         disc = discrete_closure(free2)
         triv = trivial_closure(free2)
         for t in tables:
-            assert leq_closures(disc, t)
-            assert leq_closures(t, triv)
+            assert leq(disc, t)
+            assert leq(t, triv)
 
     def test_compare_witness(self, free2):
-        v = compare_closures(trivial_closure(free2), discrete_closure(free2))
+        v = compare(trivial_closure(free2), discrete_closure(free2))
         assert not v.passed
         assert v.witness["carrier"].sorted_members() == ["a"]
 
@@ -117,7 +118,7 @@ class TestContinuity:
         tables = list(enumerate_closure_tables(free2))
         for c in tables:
             for d in tables:
-                assert is_c_continuous(m, c, d).passed == leq_closures(c, d)
+                assert is_c_continuous(m, c, d).passed == leq(c, d)
 
     def test_witness_is_source_carrier(self, free2):
         m = identity(free2)
@@ -213,6 +214,21 @@ class TestInitialClosure:
         with pytest.raises(InitialContinuityDefectError):
             initial_closure(m, discrete_closure(tgt))
 
+    def test_reverification_axiom_failure_is_a_defect_error(self, free2, monkeypatch):
+        # past the left-total and target checks the pulled-back table is
+        # valid by proof, so failing its re-check is a library defect, not
+        # a continuity gap; a runtime check, not an assert
+        import covlat.closure
+
+        target = discrete_closure(free2)
+        verify = covlat.closure.verify_closure_axioms
+        failing = Verdict.fail({"axiom": "C1", "carrier": free2.base.full()}, 1)
+        monkeypatch.setattr(
+            covlat.closure, "verify_closure_axioms", lambda t: verify(t) if t is target else failing
+        )
+        with pytest.raises(CompositionDefectError, match="initial closure fails its axioms"):
+            initial_closure(identity(free2), target)
+
     def test_maximality_when_defined(self):
         # whenever the pullback succeeds it is the largest continuous table
         rng = random.Random(7)
@@ -241,7 +257,7 @@ class TestInitialClosure:
                 continue
             found += 1
             for c_prime in enumerate_closure_tables(c1):
-                assert is_c_continuous(m, c_prime, c_tgt).passed == leq_closures(
+                assert is_c_continuous(m, c_prime, c_tgt).passed == leq(
                     c_prime, cinit
                 )
         assert found >= 5
@@ -250,18 +266,18 @@ class TestInitialClosure:
 class TestClosedDense:
     def test_predicates(self, free2):
         triv = trivial_closure(free2)
-        assert is_closed(triv, free2.base.empty())
-        assert is_closed(triv, free2.base.full())
-        assert not is_closed(triv, free2.base.subset(["a"]))
+        assert is_fixed(triv, free2.base.empty())
+        assert is_fixed(triv, free2.base.full())
+        assert not is_fixed(triv, free2.base.subset(["a"]))
         assert is_dense(triv, free2.base.subset(["a"]))
         assert not is_dense(triv, free2.base.empty())
 
     def test_closed_family_is_meet_closed(self, free2):
         for c in enumerate_closure_tables(free2):
-            closed = closed_subobjects(c)
+            closed = fixed_carriers(c)
             for u in closed:
                 for v in closed:
-                    assert is_closed(c, u & v)
+                    assert is_fixed(c, u & v)
 
     def test_preservation(self, free2):
         m = identity(free2)
@@ -292,4 +308,4 @@ class TestReflection:
 
     def test_reflection_of_closure_is_pointwise_above(self, free2):
         for c in enumerate_closure_tables(free2):
-            assert leq_closures(c, reflection(c))
+            assert leq(c, reflection(c))

@@ -14,16 +14,16 @@ from covlat import (
     ValidatedMorphism,
     coreflection,
     discrete_interior,
+    fixed_carriers,
     identity,
     initial_interior_corrected,
     initial_interior_paper,
+    is_fixed,
     is_i_continuous,
-    is_open,
     join_interiors,
-    leq_interiors,
+    leq,
     meet_interiors,
     open_preimage_check,
-    open_subobjects,
     trivial_interior,
     verify_interior_axioms,
 )
@@ -93,8 +93,8 @@ class TestLattice:
         disc = discrete_interior(free2)
         triv = trivial_interior(free2)
         for t in tables:
-            assert leq_interiors(t, disc)
-            assert leq_interiors(triv, t)
+            assert leq(t, disc)
+            assert leq(triv, t)
 
     def test_mixed_parents_rejected(self, free2, m3_cover):
         with pytest.raises(MixedParentError):
@@ -107,7 +107,7 @@ class TestContinuity:
         tables = list(enumerate_interior_tables(free2))
         for i in tables:
             for j in tables:
-                assert is_i_continuous(m, i, j).passed == leq_interiors(j, i)
+                assert is_i_continuous(m, i, j).passed == leq(j, i)
 
     def test_witness_is_target_carrier(self, free2):
         m = identity(free2)
@@ -239,7 +239,7 @@ class TestInitialInterior:
             iinit = initial_interior_corrected(m, i_tgt)
             found += 1
             for i_prime in enumerate_interior_tables(c1):
-                assert is_i_continuous(m, i_prime, i_tgt).passed == leq_interiors(
+                assert is_i_continuous(m, i_prime, i_tgt).passed == leq(
                     iinit, i_prime
                 )
         assert found >= 5
@@ -248,16 +248,16 @@ class TestInitialInterior:
 class TestOpen:
     def test_predicates(self, free2):
         triv = trivial_interior(free2)
-        assert is_open(triv, free2.base.full())
-        assert is_open(triv, free2.base.empty())
-        assert not is_open(triv, free2.base.subset(["a"]))
+        assert is_fixed(triv, free2.base.full())
+        assert is_fixed(triv, free2.base.empty())
+        assert not is_fixed(triv, free2.base.subset(["a"]))
 
     def test_open_family_is_join_closed(self, free2):
         for i in enumerate_interior_tables(free2):
-            opens = open_subobjects(i)
+            opens = fixed_carriers(i)
             for u in opens:
                 for v in opens:
-                    assert is_open(i, u | v)
+                    assert is_fixed(i, u | v)
 
     def test_open_preimage(self, free2):
         m = identity(free2)
@@ -288,4 +288,4 @@ class TestCoreflection:
 
     def test_coreflection_is_pointwise_below(self, free2):
         for i in enumerate_interior_tables(free2):
-            assert leq_interiors(coreflection(i), i)
+            assert leq(coreflection(i), i)

@@ -25,7 +25,6 @@ from covlat import (
     is_i_continuous,
     join_closures,
     join_interiors,
-    leq_closures,
     meet_closures,
     meet_interiors,
     reflection,
@@ -44,7 +43,7 @@ from covlat.oracle import (
     scan_axioms_full,
 )
 from covlat.sets import joins_below, submasks
-from covlat.table import compare, conjugate, pull_back, reflect, scan_axioms
+from covlat.table import compare, conjugate, leq, pull_back, reflect, scan_axioms
 from covlat.verdict import Verdict
 
 
@@ -132,11 +131,7 @@ def candidate_tables(rng, cover):
 
 def axiom_scans(t):
     """The verdicts of the structural check and of the full scan."""
-    if t.kind == "closure":
-        args = ("C", True, 0)
-    else:
-        args = ("I", False, len(t.table) - 1)
-    return scan_axioms(t, *args), scan_axioms_full(t, *args)
+    return scan_axioms(t), scan_axioms_full(t)
 
 
 def assert_same_axiom_verdict(t):
@@ -319,6 +314,34 @@ def test_continuity_and_pull_backs_match_per_carrier_loops(seed, n1, n2, density
     ]
 
 
+@given(st.integers(0, 10_000), st.integers(0, 3), st.integers(0, 3), st.sampled_from([0.3, 0.6, 1]))
+@settings(max_examples=150, deadline=None)
+def test_interior_continuity_is_the_conjugate_closure_law_along_forall_pre(seed, n1, n2, density):
+    # pre(j(v)) inside i(pre(v)) at v is, through complement, the closure law
+    # c_src(forall_pre(W)) inside forall_pre(c_tgt(W)) at W = full_tgt ^ v for
+    # the conjugates, so the least failing v is the greatest failing W
+    rng = random.Random(seed)
+    src, tgt = Cover(BaseSet([f"s{i}" for i in range(n1)])), Cover(BaseSet([f"t{i}" for i in range(n2)]))
+    pairs = [(a, b) for a in src.base.elements for b in tgt.base.elements if rng.random() < density]
+    rel = Relation(src.base, tgt.base, pairs)
+    m = ValidatedMorphism.build(rel, src, tgt)  # every relation respects free covers
+    i, j = random_interior_table(rng, src), random_interior_table(rng, tgt)
+    c_src, c_tgt = conjugate(i).table, conjugate(j).table
+    full_src, full_tgt = (1 << n1) - 1, (1 << n2) - 1
+    pre = rel.preimages()
+
+    def forall_pre(w):
+        return full_src ^ pre[full_tgt ^ w]
+
+    failing = [w for w in range(full_tgt + 1) if c_src[forall_pre(w)] & ~forall_pre(c_tgt[w])]
+    v = is_i_continuous(m, i, j)
+    if not failing:
+        assert v == v.ok(full_tgt + 1)
+    else:
+        witness = full_tgt ^ max(failing)
+        assert v == v.fail({"carrier": tgt.base.subset_from_mask(witness)}, witness + 1)
+
+
 def compare_by_carrier(s, t):
     """The pointwise-order verdict by one loop step per carrier."""
     checked = 0
@@ -355,7 +378,7 @@ MIXED_KIND_CALLS = {
     "join-closures": lambda c, i, m: join_closures([c, i]),
     "join-closures-of-interiors": lambda c, i, m: join_closures([i, i]),
     "meet-interiors-of-closures": lambda c, i, m: meet_interiors([c]),
-    "leq-closures": lambda c, i, m: leq_closures(c, i),
+    "leq": lambda c, i, m: leq(c, i),
     "compare": lambda c, i, m: compare(i, c),
     "c-continuity": lambda c, i, m: is_c_continuous(m, c, i),
     "i-continuity": lambda c, i, m: is_i_continuous(m, i, c),

@@ -6,7 +6,9 @@ import os
 import subprocess
 import sys
 
-from conftest import cli_env
+import pytest
+
+from conftest import cli_env, data_path
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -47,6 +49,48 @@ def test_traced_functions_are_distinct():
     functions = [_resolve(target) for target in targets]
     assert len({id(f) for f in functions}) == len(targets)
 
+
+CLOSURE, INTERIOR = data_path("trivial_closure_free2.json"), data_path("discrete_interior_free2.json")
+ID2 = data_path("id2.json")
+OPERATOR_RUNS = [
+    # (operator argv, the span its one library call books)
+    (["verify", CLOSURE], "closure.verify"),
+    (["verify", INTERIOR], "interior.verify"),
+    (["join", CLOSURE, CLOSURE], "closure.lattice"),
+    (["join", INTERIOR, INTERIOR], "interior.lattice"),
+    (["meet", CLOSURE, CLOSURE], "closure.lattice"),
+    (["meet", INTERIOR, INTERIOR], "interior.lattice"),
+    (["initial", ID2, CLOSURE], "closure.initial"),
+    (["initial", ID2, INTERIOR], "interior.initial"),
+    (["initial", ID2, INTERIOR, "--initial-mode", "paper"], "interior.initial"),
+    (["reflect", CLOSURE], "closure.reflection"),
+    (["coreflect", INTERIOR], "interior.coreflection"),
+    (["continuity", ID2, CLOSURE, CLOSURE], "closure.continuity"),
+    (["continuity", ID2, INTERIOR, INTERIOR], "interior.continuity"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, span",
+    OPERATOR_RUNS,
+    ids=[f"{argv[0]}-{span}" + "-paper" * ("paper" in argv) for argv, span in OPERATOR_RUNS],
+)
+def test_each_operator_action_books_one_call_on_its_kinds_span(capsys, argv, span):
+    # the tracer rebinds module names only: a per-kind function that
+    # cmd_operator held in a table built at import would bypass the wrapper
+    # and leave its layer at zero
+    from covlat import cli
+
+    tracer = _tracer_module()
+    t = tracer.Tracer()
+    try:
+        t.install()
+        assert cli.main(["operator", *argv]) == 0, capsys.readouterr().err
+    finally:
+        t.uninstall()
+    assert t.stat(span)["calls"] == 1
+    other = "interior." if span.startswith("closure.") else "closure."
+    assert not any(stat["calls"] for name, stat in t.stats.items() if name.startswith(other))
 
 
 def test_lazy_package_name_drops_its_wrapper_on_uninstall():
