@@ -172,8 +172,10 @@ def cmd_morphism(args) -> int:
 def cmd_operator(args) -> int:
     from . import closure as cl, interior as it  # only operator needs the operator modules
 
-    paths = _operands(args, OPERATOR_OPERANDS)
     action = args.action
+    if args.initial_mode and action != "initial":
+        raise InputError(f"{action} takes no --initial-mode")
+    paths = _operands(args, OPERATOR_OPERANDS)
     ws = Workspace()
     if action in ("initial", "continuity"):
         m = _morphism(ws, paths[0])
@@ -274,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=OPERATOR_OPERANDS)
     p.add_argument("files", nargs="+")
     p.add_argument("--kind", choices=["closure", "interior"], default=None)
-    p.add_argument("--initial-mode", choices=["paper", "corrected"], default="corrected")
+    p.add_argument("--initial-mode", choices=["paper", "corrected"], default=None)
     p.set_defaults(fn=cmd_operator)
 
     p = sub.add_parser("certify", help="run the brute-force certification suites")

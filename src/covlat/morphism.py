@@ -10,6 +10,7 @@ subset pairs); the full-quantifier cross-checks live in
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Iterable
 
 from .caps import require_cap
@@ -207,31 +208,12 @@ class ValidatedMorphism:
         return f"ValidatedMorphism({sorted(self.relation.pairs)!r})"
 
 
-class MorphismClass:
+class MorphismClass(namedtuple("MorphismClass", "source target table")):
     """Canonical representative of a morphism: the saturated preimage of
     each target element.  Two morphisms are equal as arrows iff their
-    tables coincide."""
+    tables coincide.  Built only by ``canonical_form``."""
 
-    __slots__ = ("source", "target", "table")
-
-    def __init__(self, m: ValidatedMorphism):
-        c1 = m.source_cover
-        self.source = c1.base
-        self.target = m.target_cover.base
-        self.table = tuple(
-            c1.saturate_mask(pre) for pre in m.relation._preimage
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MorphismClass)
-            and self.source == other.source
-            and self.target == other.target
-            and self.table == other.table
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self.table))
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -241,7 +223,10 @@ class MorphismClass:
 
 
 def canonical_form(m: ValidatedMorphism) -> MorphismClass:
-    return MorphismClass(m)
+    c1 = m.source_cover
+    return MorphismClass(
+        c1.base, m.target_cover.base, tuple(map(c1.saturate_mask, m.relation._preimage))
+    )
 
 
 def equivalent(m1: ValidatedMorphism, m2: ValidatedMorphism) -> bool:
@@ -250,7 +235,7 @@ def equivalent(m1: ValidatedMorphism, m2: ValidatedMorphism) -> bool:
         and m1.target_cover.same_cover(m2.target_cover)
     ):
         raise BaseMismatchError("morphisms do not share source and target covers")
-    return MorphismClass(m1) == MorphismClass(m2)
+    return canonical_form(m1) == canonical_form(m2)
 
 
 def compose(t: ValidatedMorphism, s: ValidatedMorphism) -> ValidatedMorphism:
@@ -266,13 +251,12 @@ def compose(t: ValidatedMorphism, s: ValidatedMorphism) -> ValidatedMorphism:
         if out >> j & 1
     ]
     composite = Relation(s.relation.source, t.relation.target, pairs)
-    verdict = respects_covers(composite, s.source_cover, t.target_cover)
-    if not verdict.passed:
+    try:
+        return ValidatedMorphism.build(composite, s.source_cover, t.target_cover)
+    except MorphismValidationError as exc:
         raise CompositionDefectError(
-            f"composite of validated morphisms failed re-verification: {verdict.witness}"
-        )
-    convergent = _convergence_verdict(composite, s.source_cover, t.target_cover)
-    return ValidatedMorphism(composite, s.source_cover, t.target_cover, verdict, convergent)
+            f"composite of validated morphisms failed re-verification: {exc.verdict.witness}"
+        ) from exc
 
 
 def identity(c: Cover) -> ValidatedMorphism:

@@ -45,10 +45,10 @@ from .interior import (
     is_i_continuous,
 )
 from .morphism import (
-    MorphismClass,
     Relation,
     ValidatedMorphism,
     _convergence_verdict,
+    canonical_form,
     compose,
     respects_covers,
 )
@@ -78,28 +78,17 @@ class EnumerationBudget(
         return self._asdict()
 
 
-class Certificate:
-    """The outcome of one certified claim, with its bounds and cost."""
+class Certificate(
+    namedtuple(
+        "Certificate",
+        "claim_id bounds passed witness instances runtime_s skipped",
+        defaults=(0.0, 0),
+    )
+):
+    """The outcome of one certified claim, with its bounds and cost;
+    ``skipped`` counts samples drawn but not usable as an instance."""
 
-    __slots__ = ("claim_id", "bounds", "passed", "witness", "instances", "runtime_s", "skipped")
-
-    def __init__(
-        self,
-        claim_id: str,
-        bounds: dict,
-        passed: bool,
-        witness: dict | None,
-        instances: int,
-        runtime_s: float = 0.0,
-        skipped: int = 0,  # samples drawn but not usable as an instance
-    ):
-        self.claim_id = claim_id
-        self.bounds = bounds
-        self.passed = passed
-        self.witness = witness
-        self.instances = instances
-        self.runtime_s = runtime_s
-        self.skipped = skipped
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -114,12 +103,13 @@ class Certificate:
 
 
 def _timed(claim_id, bounds, fn):
-    """Run a certificate body; a claim checked on no instance does not pass."""
+    """Run a certificate body, which returns a ``Verdict`` whose
+    ``checked`` counts instances; a claim checked on no instance fails."""
     start = time.perf_counter()
-    passed, witness, instances = fn()
-    if passed and instances == 0:
-        passed, witness = False, {"claim": "no instances checked"}
-    return Certificate(claim_id, bounds, passed, witness, instances, time.perf_counter() - start)
+    verdict = fn()
+    if verdict.passed and not verdict.checked:
+        verdict = Verdict.fail({"claim": "no instances checked"}, 0)
+    return Certificate(claim_id, bounds, *verdict, time.perf_counter() - start)
 
 
 # -- independent saturation oracle -------------------------------------------
@@ -614,17 +604,16 @@ def certify_saturation(budget: EnumerationBudget, size: int = 6) -> Certificate:
             sat = [cover.saturate_mask(m) for m in range(1 << n)]
             for m in range(1 << n):
                 if m & ~sat[m] or sat[sat[m]] != sat[m]:
-                    return False, {"cover": cover.axioms.named_pairs(), "u": m}, instances
+                    return Verdict.fail({"cover": cover.axioms.named_pairs(), "u": m}, instances)
                 if sat[m] != naive_saturate(cover.axioms, m):
-                    return False, {"cover": cover.axioms.named_pairs(), "u": m}, instances
+                    return Verdict.fail({"cover": cover.axioms.named_pairs(), "u": m}, instances)
                 for v in range(1 << n):
                     if m & ~v == 0 and sat[m] & ~sat[v]:
-                        return (
-                            False,
+                        return Verdict.fail(
                             {"cover": cover.axioms.named_pairs(), "u": m, "v": v},
                             instances,
                         )
-        return True, None, instances
+        return Verdict.ok(instances)
 
     return _timed("saturation-closure-and-oracle-agreement", bounds, run)
 
@@ -646,7 +635,7 @@ def certify_morphism_shortcuts(budget: EnumerationBudget, size: int = 3) -> Cert
                 slow = respects_covers_full(r, c1, c2)
                 instances += 1
                 if fast.passed != slow.passed:
-                    return False, {"claim": "respects", "pairs": sorted(r.pairs)}, instances
+                    return Verdict.fail({"claim": "respects", "pairs": sorted(r.pairs)}, instances)
                 if fast.passed:
                     valid.append((r, fast))
             singleton_tables = []
@@ -656,8 +645,8 @@ def certify_morphism_shortcuts(budget: EnumerationBudget, size: int = 3) -> Cert
                 m = ValidatedMorphism(r, c1, c2, respects, _convergence_verdict(r, c1, c2))
                 slow = convergent_morphism_full(r, c1, c2)
                 if m.convergent.passed != slow.passed:
-                    return False, {"claim": "down-set", "pairs": sorted(r.pairs)}, instances
-                singleton_tables.append(MorphismClass(m).table)
+                    return Verdict.fail({"claim": "down-set", "pairs": sorted(r.pairs)}, instances)
+                singleton_tables.append(canonical_form(m).table)
                 full_tables.append(tuple(map(c1.saturate_mask, r.preimages())))
             # equal tables are an equivalence on each side; they agree iff both
             # have as many classes as their common refinement, and only a
@@ -670,8 +659,7 @@ def certify_morphism_shortcuts(budget: EnumerationBudget, size: int = 3) -> Cert
                     fast_eq = singleton_tables[i1] == singleton_tables[i2]
                     slow_eq = full_tables[i1] == full_tables[i2]
                     if fast_eq != slow_eq:
-                        return (
-                            False,
+                        return Verdict.fail(
                             {
                                 "claim": "equivalence",
                                 "pairs1": sorted(r1.pairs),
@@ -679,7 +667,7 @@ def certify_morphism_shortcuts(budget: EnumerationBudget, size: int = 3) -> Cert
                             },
                             instances,
                         )
-        return True, None, instances
+        return Verdict.ok(instances)
 
     return _timed("morphism-singleton-reductions", bounds, run)
 
@@ -743,25 +731,15 @@ def certify_initial_lift(budget: EnumerationBudget) -> Certificate:
                 lhs = is_c_continuous(t, c_n, c_init).passed
                 rhs = is_c_continuous(comp, c_n, c_tgt).passed
                 if lhs != rhs:
-                    return (
-                        False,
-                        {"claim": "closure-lift", "pairs": sorted(r.pairs)},
-                        instances,
-                    )
+                    return Verdict.fail({"claim": "closure-lift", "pairs": sorted(r.pairs)}, instances)
                 i_n = random_interior_table(rng, cover_n)
                 lhs = is_i_continuous(t, i_n, i_init).passed
                 rhs = is_i_continuous(comp, i_n, i_tgt).passed
                 if lhs != rhs:
-                    return (
-                        False,
-                        {"claim": "interior-lift", "pairs": sorted(r.pairs)},
-                        instances,
-                    )
-        return True, None, instances
+                    return Verdict.fail({"claim": "interior-lift", "pairs": sorted(r.pairs)}, instances)
+        return Verdict.ok(instances)
 
-    cert = _timed("initial-operator-factorization", bounds, run)
-    cert.skipped = skipped
-    return cert
+    return _timed("initial-operator-factorization", bounds, run)._replace(skipped=skipped)
 
 
 def standard_suplattices() -> dict[str, FiniteSuplattice]:
@@ -792,13 +770,12 @@ def certify_suplattice_roundtrip(lat: FiniteSuplattice, name: str = "suplattice"
         lower = [lat.lower_set_mask(i) for i in range(n)]
         saturated = {m for m in range(1 << n) if cover.saturate_mask(m) == m}
         if set(lower) != saturated or len(set(lower)) != n:
-            return False, {"claim": "bijection"}, 1
+            return Verdict.fail({"claim": "bijection"}, 1)
         for i in range(n):
             for j in range(n):
                 instances += 1
                 if (lower[i] & ~lower[j] == 0) != bool(lat._up[i] >> j & 1):
-                    return (
-                        False,
+                    return Verdict.fail(
                         {"claim": "order", "x": lat.base.elements[i], "y": lat.base.elements[j]},
                         instances,
                     )
@@ -806,12 +783,8 @@ def certify_suplattice_roundtrip(lat: FiniteSuplattice, name: str = "suplattice"
             instances += 1
             j = lat.join_index(m)
             if cover.saturate_mask(m) != lower[j]:
-                return (
-                    False,
-                    {"claim": "roundtrip", "u": lat.base.subset_from_mask(m)},
-                    instances,
-                )
-        return True, None, instances
+                return Verdict.fail({"claim": "roundtrip", "u": lat.base.subset_from_mask(m)}, instances)
+        return Verdict.ok(instances)
 
     return _timed(f"suplattice-roundtrip-{name}", bounds, run)
 

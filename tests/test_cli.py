@@ -190,6 +190,14 @@ class TestGoldenFiles:
         assert proc.returncode == expected_exit
         assert proc.stdout == golden(golden_name)
 
+    def test_certify_defaults(self):
+        # the report byte for byte, once each certificate's runtime_s is cut
+        proc = run_cli("certify")
+        assert proc.returncode == 0
+        stripped, cuts = re.subn(r',\n    "runtime_s": \d+(\.\d+)?(e-\d+)?(?=\n  \})', "", proc.stdout)
+        assert cuts == 6
+        assert stripped == golden("certify_defaults.json")
+
     def test_m3_witness_is_printed(self):
         proc = run_cli("check", "m3.json")
         assert "'element': 'a'" in proc.stderr
@@ -749,6 +757,21 @@ class TestOperatorCommands:
             assert proc.stdout == out + "\n"
         else:
             assert (proc.stdout, proc.stderr) == ("", f"error: {error}\n")
+
+    @pytest.mark.parametrize("mode", ["paper", "corrected"])
+    @pytest.mark.parametrize("action", [a for a in cli.OPERATOR_OPERANDS if a != "initial"])
+    def test_initial_mode_outside_initial_is_input_error(self, action, mode):
+        files = {
+            "verify": ["trivial_closure_free2.json"],
+            "join": ["trivial_closure_free2.json"] * 2,
+            "meet": ["trivial_closure_free2.json"] * 2,
+            "reflect": ["trivial_closure_free2.json"],
+            "coreflect": ["discrete_interior_free2.json"],
+            "continuity": ["id2.json", "trivial_closure_free2.json", "trivial_closure_free2.json"],
+        }[action]
+        proc = run_cli("operator", action, *files, "--initial-mode", mode)
+        assert proc.returncode == 2
+        assert (proc.stdout, proc.stderr) == ("", f"error: {action} takes no --initial-mode\n")
 
     def test_kind_mismatch_is_input_error(self):
         proc = run_cli(

@@ -1,13 +1,16 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covlat.morphism
 from covlat import (
     BaseMismatchError,
     BaseSet,
+    CompositionDefectError,
     Cover,
     MorphismValidationError,
     Relation,
@@ -343,6 +346,20 @@ class TestEquivalence:
         js = canonical_form(m).to_json()
         assert js == {"a": ["a"], "b": ["a", "b"]}
 
+    def test_equal_forms_hash_equal_and_agree_with_equivalent(self, chain2, m3_cover):
+        for c1, c2 in [(chain2, chain2), (m3_cover, chain2)]:
+            arrows = [
+                ValidatedMorphism.build(r, c1, c2)
+                for r in all_relations(c1.base, c2.base)
+                if respects_covers(r, c1, c2).passed
+            ]
+            forms = [canonical_form(m) for m in arrows]
+            assert len(set(forms)) < len(forms)  # some classes hold several arrows
+            for (m1, f1), (m2, f2) in itertools.product(zip(arrows, forms), repeat=2):
+                assert equivalent(m1, m2) == (f1 == f2)
+                if f1 == f2:
+                    assert hash(f1) == hash(f2)
+
 
 class TestCompose:
     def test_identity_left_and_right(self, chain2):
@@ -365,6 +382,14 @@ class TestCompose:
         t = ValidatedMorphism.build(Relation(mid, one.base, [("m", "x")]), midc, one)
         out = compose(t, s)
         assert sorted(out.relation.pairs) == [("a", "x")]
+
+    def test_failed_reverification_is_a_defect_with_its_witness(self, monkeypatch, chain2):
+        s = t = identity(chain2)
+        witness = {"element": "a", "v": chain2.base.subset_from_mask(0)}
+        monkeypatch.setattr(covlat.morphism, "respects_covers", lambda r, c1, c2: Verdict.fail(witness, 1))
+        message = f"composite of validated morphisms failed re-verification: {witness}"
+        with pytest.raises(CompositionDefectError, match=re.escape(message)):
+            compose(t, s)
 
 
 class TestTerminal:
