@@ -3,10 +3,13 @@
 A cover is presented by generating axioms ``(a, V)``: the relation
 ``a covers U`` is the least one containing the axioms that is reflexive
 and transitive.  Saturation (the set of all elements covering ``U``) is
-computed by one forward-chaining worklist over per-element watcher
-lists, memoized per subset.  Whole-powerset consumers read one
-saturation table per cover instead, built by the same worklist from
-saturated sets plus one element.
+computed from two compiled forms, memoized per subset: the axioms with
+one-element premises as a transitive closure, one bitmask per element,
+and a forward-chaining worklist over per-element watcher lists for the
+axioms with wider premises only.  Whole-powerset consumers read one
+saturation table per cover instead, built from saturated sets plus one
+element, in one pass wherever that element's closure meets no wide
+premise.
 
 A cover may instead be given by that table itself.  Concrete topological
 spaces (points, observables and a forcing relation), finite suplattices
@@ -20,7 +23,7 @@ from typing import Iterable
 
 from .caps import cap_for, require_cap
 from .errors import BaseMismatchError, InputError
-from .sets import BaseSet, Subset, fixed_points, meets_above, union_over, unions
+from .sets import BaseSet, Subset, fixed_points, meets_above, transitive_closure, union_over, unions
 from .verdict import Verdict
 
 
@@ -67,7 +70,10 @@ class Cover:
     Given by generating axioms (the normal case) or by its saturation
     table, sat(m) for every mask m (concrete spaces, suplattices,
     validated relation tables), not both; a given table must be a
-    closure operator on the powerset of the base.
+    closure operator on the powerset of the base.  Axioms are split by
+    premise size when the cover is built: ``x ◁ {y}`` goes into
+    ``_up[y]``, what y forces, closed transitively (Warshall), and only
+    premises of two or more elements keep watcher lists.
     """
 
     def __init__(
@@ -94,23 +100,30 @@ class Cover:
                     f"saturation table has {len(self._table)} entries, expected {1 << len(base)}"
                 )
             return
-        # Compiled form: (head bit index, premise mask) plus, per element,
-        # the axioms whose premise mentions it.
-        self._compiled = self.axioms.pairs
-        watchers: list[list[int]] = [[] for _ in range(len(base))]
+        # Compiled form: up[x] as in the class docstring; the wide axioms
+        # as (head bit index, premise mask) and, per element, those watching it.
+        n = len(base)
+        up = [1 << x for x in range(n)]
+        self._wide = []
+        watchers: list[list[int]] = [[] for _ in range(n)]
         # heads of the empty-premise axioms: in every saturated set
         self._facts = 0
-        for ax_id, (head, prem) in enumerate(self._compiled):
+        for head, prem in self.axioms.pairs:
             if not prem:
                 self._facts |= 1 << head
-            m = prem
-            while m:
-                low = m & -m
-                watchers[low.bit_length() - 1].append(ax_id)
-                m ^= low
+            elif not prem & (prem - 1):
+                up[prem.bit_length() - 1] |= 1 << head
+            else:
+                for x in range(n):
+                    if prem >> x & 1:
+                        watchers[x].append(len(self._wide))
+                self._wide.append((head, prem))
+        self._up = up = transitive_closure(up)
         self._watchers = watchers
-        # elements in no premise: adding one to a saturated set fires nothing
-        self._inert = sum(1 << x for x, ws in enumerate(watchers) if not ws)
+        watched = sum(1 << x for x, ws in enumerate(watchers) if ws)
+        # elements whose closure meets no wide premise: adding one to a
+        # saturated set adds its closure and fires nothing
+        self._inert = sum(1 << x for x, u in enumerate(up) if not u & watched)
 
     @classmethod
     def from_axiom_names(
@@ -142,26 +155,26 @@ class Cover:
         its head in s + added: s saturated, or s = 0 with the heads of the
         empty-premise axioms in ``added``.
 
-        Only axioms watching an added element or a later head can then
-        fire.  Elements enter ``result`` as they are queued, so when the
-        last-added element of a premise is popped the whole premise is in
-        and the axiom fires.
+        Each element enters ``result`` with its whole closure ``up``, so
+        the one-element premises need no worklist.  Only wide premises
+        watching an element new beyond s can then fire.  Elements enter
+        ``pending`` as they enter ``result``, so when the last new element
+        of a premise is popped the whole premise is in and the axiom fires.
         """
-        compiled = self._compiled
+        up = self._up
+        wide = self._wide
         watchers = self._watchers
-        result = s | added
-        added &= ~self._inert  # an element in no premise fires nothing
-        queue = []
-        while added:
-            low = added & -added
-            queue.append(low.bit_length() - 1)
-            added ^= low
-        while queue:
-            for ax_id in watchers[queue.pop()]:
-                head, prem = compiled[ax_id]
+        live = ~self._inert  # an inert element fires nothing
+        result = s | union_over(up, added)
+        pending = result & ~s & live
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            for ax_id in watchers[low.bit_length() - 1]:
+                head, prem = wide[ax_id]
                 if not result >> head & 1 and prem & ~result == 0:
-                    result |= 1 << head
-                    queue.append(head)
+                    pending |= up[head] & ~result & live
+                    result |= up[head]
         return result
 
     def saturation_table(self) -> list[int]:
@@ -175,9 +188,12 @@ class Cover:
         from a saturated set plus one element, run once per distinct
         saturated set s and bit, so at most n * |F| chains for a frame F
         of saturated sets, none of them through ``saturate_mask`` or its
-        cache on an axiom cover.  An element in no premise adds itself
-        and fires nothing, so its bit is one pass ``s | b``.  The
-        reference is ``oracle.saturation_table_full``.
+        cache on an axiom cover.  An element whose closure ``up[b]``
+        meets no wide premise adds that closure and fires nothing, so its
+        bit is one pass ``s | up[b]``; a cover whose premises all have at
+        most one element (free, chain, all-equivalent) runs no chain but
+        the one for sat(∅).  The reference is
+        ``oracle.saturation_table_full``.
         """
         if self._table is None:
             n = len(self.base)
@@ -187,7 +203,8 @@ class Cover:
             for k in range(n):
                 bit = 1 << k
                 if bit & self._inert:
-                    table += [s | bit for s in table]
+                    up = self._up[k]
+                    table += [s | up for s in table]
                 else:
                     step = {s: s if s & bit else add(s, bit) for s in set(table)}
                     table += list(map(step.__getitem__, table))
@@ -501,15 +518,7 @@ class FiniteSuplattice:
         up = [1 << i for i in range(n)]  # up[i] = mask of j with i <= j
         for lo, hi in leq_pairs:
             up[self.base.index(lo)] |= 1 << self.base.index(hi)
-        # transitive closure
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                acc = union_over(up, up[i])  # up[i] holds i, so acc holds up[i]
-                if acc != up[i]:
-                    up[i] = acc
-                    changed = True
+        up = transitive_closure(up)
         for i in range(n):
             for j in range(n):
                 if i != j and up[i] >> j & 1 and up[j] >> i & 1:

@@ -262,6 +262,20 @@ def unions(per_element: Iterable[int]) -> list[int]:
     return out
 
 
+def transitive_closure(rows: Iterable[int]) -> list[int]:
+    """The reflexive-transitive closure of a relation given by rows, row
+    i holding bit i: row i of the result holds every j reachable from i.
+
+    Warshall's bit-matrix closure: for each k in turn, every row holding
+    bit k takes in row k, so each k is one bulk pass over the rows.
+    """
+    rows = list(rows)
+    for k in range(len(rows)):
+        bit, row = 1 << k, rows[k]
+        rows = [r | row if r & bit else r for r in rows]
+    return rows
+
+
 def fixed_points(table: Sequence[int]) -> list[int]:
     """The entries ``table[m]`` with ``table[m] == m``, in mask order: the
     saturated sets of a saturation table, the fixed carriers of an

@@ -238,6 +238,28 @@ def assert_table_matches_scans(c):
         assert induced_cover(c, carrier) == induced_cover_scan(c, full, carrier)
 
 
+@st.composite
+def mixed_premise_covers(draw, max_size=6):
+    """Covers whose premises have 0, 1 or 2+ elements with comparable
+    weights.  Each cover first draws the premise sizes it uses, so covers
+    with only one-element premises, or none, are common; `random_cover`
+    draws bodies uniformly from all subsets, mostly wide ones."""
+    size = draw(st.integers(1, max_size))
+    names = default_base(size).elements
+    kinds = draw(st.sets(st.sampled_from(["empty", "one", "wide"][: 2 + (size > 1)]), min_size=1))
+    pairs = []
+    for _ in range(draw(st.integers(0, 2 * size))):
+        kind = draw(st.sampled_from(sorted(kinds)))
+        if kind == "empty":
+            body = set()
+        elif kind == "one":
+            body = {draw(st.sampled_from(names))}
+        else:
+            body = draw(st.sets(st.sampled_from(names), min_size=2))
+        pairs.append((draw(st.sampled_from(names)), sorted(body)))
+    return Cover.from_axiom_names(default_base(size), pairs)
+
+
 class TestSaturationTable:
     """`Cover.saturation_table` and its readers against plain scans."""
 
@@ -345,6 +367,54 @@ class TestSaturationTable:
         table = c.saturation_table()
         assert len(starts) == len(set(starts))
         assert len(starts) <= 12 * len(set(table)) + 1  # n * |F| and sat(0)
+        monkeypatch.undo()
+        assert table == saturation_table_full(c)
+
+    @given(mixed_premise_covers())
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_premise_sizes(self, c):
+        assert_table_matches_scans(c)
+
+    @given(mixed_premise_covers())
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_premise_chains_match_naive(self, c):
+        # a fresh cover: every lookup runs the chain, no table is built
+        for m in range(1 << len(c.base)):
+            assert c.saturate_mask(m) == naive_saturate(c.axioms, m)
+        assert c._table is None
+
+    @pytest.mark.parametrize("order", ["abcd", "dcba"])
+    def test_one_element_chain_completes_a_wide_premise(self, order):
+        # b forces a through {b}; a and d then complete c's premise {a, d}.
+        # In the order dcba the table adds b to sat({d}), so the wide
+        # premise is met only through b's closure.
+        base = BaseSet(list(order))
+        axioms = [("a", ["b"]), ("c", ["a", "d"])]
+        bd = base.subset(["b", "d"])
+        fresh = Cover.from_axiom_names(base, axioms)
+        assert fresh.saturate(bd).sorted_members() == ["a", "b", "c", "d"]
+        c = Cover.from_axiom_names(base, axioms)
+        assert c.saturation_table()[bd.mask] == 0b1111
+        assert_table_matches_scans(c)
+
+    @pytest.mark.parametrize("shape,size", [("alleq", 10), ("alleq", 11), ("chain", 12)])
+    def test_one_element_premises_chain_only_the_empty_set(self, monkeypatch, shape, size):
+        # every bit adds its closure in one pass: the one chain is sat(0)
+        axioms, _ = SINGLETON_COVER_SHAPES[shape]
+        names = default_base(size).elements
+        c = Cover.from_axiom_names(
+            default_base(size), [(names[x], [names[y]]) for x, y in axioms(size)]
+        )
+        starts = []
+        chain = Cover._chain
+
+        def counted(self, s, added):
+            starts.append((s, added))
+            return chain(self, s, added)
+
+        monkeypatch.setattr(Cover, "_chain", counted)
+        table = c.saturation_table()
+        assert starts == [(0, 0)]
         monkeypatch.undo()
         assert table == saturation_table_full(c)
 

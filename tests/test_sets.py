@@ -12,7 +12,7 @@ from covlat.oracle import (
     random_interior_table,
     reflect_full,
 )
-from covlat.sets import first_escape, fixed_points, meets_above, union_over, unions
+from covlat.sets import first_escape, fixed_points, meets_above, transitive_closure, union_over, unions
 
 # Names whose sorted order differs from any natural base order: mixed case,
 # digits, prefixes of one another, and non-ASCII letters that sort after "z".
@@ -253,3 +253,47 @@ class TestUnions:
     def test_empty_list(self):
         assert unions([]) == [0]
         assert union_over([], 0) == 0
+
+
+def closure_by_fixpoint(rows):
+    """Reflexive-transitive closure by repeated image until nothing
+    changes: the reference for `transitive_closure`."""
+    up = list(rows)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(up)):
+            acc = union_over(up, up[i])  # up[i] holds i, so acc holds up[i]
+            if acc != up[i]:
+                up[i] = acc
+                changed = True
+    return up
+
+
+class TestTransitiveClosure:
+    """`transitive_closure`, Warshall's n bulk passes, against the fixpoint
+    loop, on relations given by rows with row i holding bit i."""
+
+    @given(st.integers(0, 10_000), st.integers(0, 8), st.sampled_from([0, 0.1, 0.3, 0.7]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_fixpoint_loop(self, seed, n, density):
+        rng = random.Random(seed)
+        rows = [1 << i | sum(1 << j for j in range(n) if rng.random() < density) for i in range(n)]
+        before = list(rows)
+        closed = transitive_closure(rows)
+        assert rows == before  # the input is not mutated
+        assert closed == closure_by_fixpoint(rows)
+        assert transitive_closure(closed) == closed
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cycle_and_path(self, n):
+        # i -> i + 1 mod n reaches everything; i -> i + 1 reaches everything above i
+        full = (1 << n) - 1
+        cycle = [1 << i | 1 << (i + 1) % n for i in range(n)]
+        path = [1 << i | (1 << i + 1 if i + 1 < n else 0) for i in range(n)]
+        assert transitive_closure(cycle) == [full] * n
+        assert transitive_closure(path) == [full & ~((1 << i) - 1) for i in range(n)]
+
+    def test_empty_and_identity(self):
+        assert transitive_closure([]) == []
+        assert transitive_closure(iter([1, 2, 4])) == [1, 2, 4]
