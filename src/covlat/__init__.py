@@ -58,8 +58,6 @@ _EXPORTS = {
         "load_instance",
         "operator_to_json",
         "parse_instance",
-        "parse_space",
-        "space_to_json",
     ),
     "interior": (
         "coreflection",

@@ -5,8 +5,8 @@ Exit codes (stable contract); a library error carries its own code as
 
 - 0: all requested checks pass;
 - 1: a check failed, or an initial lift it asked for does not exist:
-  ``ExtensionFailureError``, ``InitialContinuityDefectError``,
-  ``UpperBoundFailureError``;
+  ``LiftFailureError``, whose subclasses are ``ExtensionFailureError``,
+  ``InitialContinuityDefectError`` and ``UpperBoundFailureError``;
 - 2: input error: any other ``CovlatError``;
 - 3: cap or budget exceeded: ``CapExceededError``.
 
@@ -22,7 +22,7 @@ import functools
 import re
 import sys
 
-from .errors import CovlatError, InputError, MorphismValidationError
+from .errors import BaseMismatchError, CovlatError, InputError, MorphismValidationError
 from .fileio import (
     Workspace,
     dump_fields,
@@ -133,7 +133,11 @@ def _operands(args, counts) -> list[str]:
 
 def _morphism(ws: Workspace, path: str) -> ValidatedMorphism:
     pairs, src, tgt = ws.relation_file(path)
-    return ValidatedMorphism.build(Relation(src.base, tgt.base, pairs), src, tgt)
+    try:
+        relation = Relation(src.base, tgt.base, pairs)
+    except BaseMismatchError as exc:  # a pair names an element outside its base
+        raise InputError(f"{path}: {exc}") from exc
+    return ValidatedMorphism.build(relation, src, tgt)
 
 
 def cmd_morphism(args) -> int:

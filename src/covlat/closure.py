@@ -17,19 +17,17 @@ from .errors import (
     CompositionDefectError,
     ExtensionFailureError,
     InitialContinuityDefectError,
-    MixedParentError,
 )
-from .morphism import ValidatedMorphism
+from .morphism import Relation, ValidatedMorphism
 from .sets import Subset
 from .table import (
     ClosureTable,
     check_morphism_tables,
     escape,
     fixed_preimages,
+    lift,
     pointwise,
-    pull_back,
     reflect,
-    require_axioms,
     scan_axioms,
 )
 from .verdict import Verdict
@@ -77,7 +75,8 @@ def is_c_continuous(
 
 
 def initial_closure(m: ValidatedMorphism, c_tgt: ClosureTable) -> ClosureTable:
-    """Pull a closure table back along a morphism: image, close, preimage.
+    """Pull a closure table back along a morphism: image, close, preimage
+    (:func:`~covlat.table.lift`).
 
     A target table that fails its axioms is an input error.  Requires the
     relation to be left-total (otherwise the extension axiom fails;
@@ -88,9 +87,7 @@ def initial_closure(m: ValidatedMorphism, c_tgt: ClosureTable) -> ClosureTable:
     on a valid table; that defect is raised, never patched.
     """
     require_cap("initial_closure", len(m.relation.source), "single")
-    if not c_tgt.parent.same_cover(m.target_cover):
-        raise MixedParentError("table does not live on the morphism's target")
-    require_axioms(c_tgt, verify_closure_axioms(c_tgt))
+    result = lift(m, c_tgt, Relation.images)
     rel = m.relation
     if not rel.is_left_total():
         # a carrier escapes the preimage of its image exactly when it holds
@@ -98,7 +95,6 @@ def initial_closure(m: ValidatedMorphism, c_tgt: ClosureTable) -> ClosureTable:
         # element alone
         x = next(x for x in range(len(rel.source)) if not rel.direct_image_mask(1 << x))
         raise ExtensionFailureError(rel.source.subset_from_mask(1 << x))
-    result = ClosureTable(m.source_cover, pull_back(m, c_tgt, rel.images()))
     axioms = verify_closure_axioms(result)
     if not axioms.passed:
         raise CompositionDefectError(f"initial closure fails its axioms: {axioms.witness}")

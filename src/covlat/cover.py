@@ -348,6 +348,8 @@ class Cover:
         return self.base.subset_from_mask(full & ~self.saturate_mask(0))
 
     def is_overt(self) -> Verdict:
+        """Each element a lies in sat({a} ∩ Pos).  This passes on every cover:
+        with Pos = base - sat(∅), U ⊆ sat(∅) ∪ (U ∩ Pos) ⊆ sat(U ∩ Pos)."""
         pos = self.pos().mask
         checked = 0
         for i in range(len(self.base)):

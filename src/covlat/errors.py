@@ -58,21 +58,29 @@ class MixedParentError(CovlatError):
     different parent covers, or mix closure and interior tables."""
 
 
-class ExtensionFailureError(CovlatError):
+class LiftFailureError(CovlatError):
+    """An initial lift does not exist for this input: ``witness`` is the
+    carrier at fault, named in each subclass's ``message``."""
+
+    exit_code = 1
+    message: str
+
+    def __init__(self, witness):
+        super().__init__(self.message.format(witness.sorted_members()))
+        self.witness = witness
+
+
+class ExtensionFailureError(LiftFailureError):
     """Initial closure construction failed: the relation is not left-total.
 
     The extension axiom of the derived table would be violated at
     ``witness`` (a carrier not contained in its round-trip image).
     """
 
-    exit_code = 1
-
-    def __init__(self, witness):
-        super().__init__(f"extension failure at carrier {witness.sorted_members()}")
-        self.witness = witness
+    message = "extension failure at carrier {}"
 
 
-class InitialContinuityDefectError(CovlatError):
+class InitialContinuityDefectError(LiftFailureError):
     """The initial closure table is not continuity-inducing for this relation.
 
     For genuinely relational (non-functional) morphisms the derived table
@@ -80,26 +88,14 @@ class InitialContinuityDefectError(CovlatError):
     closure table.  This is reported, never silently patched.
     """
 
-    exit_code = 1
-
-    def __init__(self, witness):
-        super().__init__(
-            f"initial closure not continuous at carrier {witness.sorted_members()}"
-        )
-        self.witness = witness
+    message = "initial closure not continuous at carrier {}"
 
 
-class UpperBoundFailureError(CovlatError):
+class UpperBoundFailureError(LiftFailureError):
     """Corrected initial interior failed: preimage of the full target base
     does not cover the source base, so the top-fixing axiom cannot hold."""
 
-    exit_code = 1
-
-    def __init__(self, witness):
-        super().__init__(
-            f"interior top axiom unattainable, preimage of top is {witness.sorted_members()}"
-        )
-        self.witness = witness
+    message = "interior top axiom unattainable, preimage of top is {}"
 
 
 class ContinuityPreconditionError(CovlatError):

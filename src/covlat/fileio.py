@@ -6,8 +6,6 @@ Formats (all UTF-8 JSON, deterministic field order):
   alternatively a full relation table ``{"base": [...], "table":
   [[["c"], ["a", "b", "c"]], ...]}`` which is accepted only if it already
   satisfies the two cover conditions.
-* concrete space: ``{"points": [...], "base": [...],
-  "forcing": [["x", "a"], ...]}``.
 * morphism: ``{"source": "<instance path>", "target": "<instance path>",
   "pairs": [["a", "x"], ...]}``; paths resolve relative to the morphism
   file.
@@ -28,8 +26,8 @@ import os
 from itertools import chain
 from json.encoder import encode_basestring
 
-from .cover import ConcreteSpace, Cover, cover_from_table
-from .errors import BaseMismatchError, InputError
+from .cover import Cover, cover_from_table
+from .errors import InputError
 from .sets import BaseSet
 
 
@@ -133,32 +131,6 @@ def instance_to_json(cover: Cover) -> dict:
 
 def load_instance(path: str) -> Cover:
     return parse_instance(_load_json(path), where=path)
-
-
-def parse_space(data, where="space") -> ConcreteSpace:
-    points = _expect(data, "points", list, where)
-    try:
-        base = BaseSet(_expect(data, "base", list, where))
-    except ValueError as exc:
-        raise InputError(f"{where}: {exc}") from exc
-    forcing = _expect(data, "forcing", list, where)
-    pairs = []
-    for row in forcing:
-        if not (isinstance(row, list) and len(row) == 2):
-            raise InputError(f"{where}: forcing rows must be [point, element] pairs")
-        pairs.append((row[0], row[1]))
-    try:
-        return ConcreteSpace(points, base, pairs)
-    except (ValueError, BaseMismatchError, InputError) as exc:
-        raise InputError(f"{where}: {exc}") from exc
-
-
-def space_to_json(space: ConcreteSpace) -> dict:
-    return {
-        "points": list(space.points),
-        "base": list(space.base.elements),
-        "forcing": sorted([p, a] for p, a in space.forcing),
-    }
 
 
 class Workspace:

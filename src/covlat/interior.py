@@ -18,20 +18,18 @@ from .caps import require_cap
 from .cover import Cover
 from .errors import (
     CompositionDefectError,
-    MixedParentError,
     UpperBoundFailureError,
 )
-from .morphism import ValidatedMorphism
+from .morphism import Relation, ValidatedMorphism
 from .table import (
     InteriorTable,
     check_morphism_tables,
     conjugate,
     escape,
     fixed_preimages,
+    lift,
     pointwise,
-    pull_back,
     reflect,
-    require_axioms,
     scan_axioms,
 )
 from .verdict import Verdict
@@ -83,14 +81,13 @@ def initial_interior_paper(
 ) -> tuple[InteriorTable, Verdict]:
     """The literal image/interior/preimage pullback plus its verification.
 
-    The contraction axiom can fail for relational morphisms; the verdict
-    records it and the (possibly invalid) table is returned alongside.
+    A target table that fails its axioms is an input error.  The
+    contraction axiom of the pullback can fail for relational morphisms;
+    the verdict records it and the (possibly invalid) table is returned
+    alongside.
     """
     require_cap("initial_interior_paper", len(m.relation.source), "single")
-    if not i_tgt.parent.same_cover(m.target_cover):
-        raise MixedParentError("table does not live on the morphism's target")
-    table = pull_back(m, i_tgt, m.relation.images())
-    candidate = InteriorTable(m.source_cover, table)
+    candidate = lift(m, i_tgt, Relation.images)
     return candidate, verify_interior_axioms(candidate)
 
 
@@ -101,23 +98,14 @@ def initial_interior_corrected(
 
     A target table that fails its axioms is an input error.  Contraction
     holds by construction; the top-fixing axiom needs the preimage of the
-    full target to cover the full source (left-totality), checked up front.
+    full target to cover the full source (left-totality).
     """
     require_cap("initial_interior_corrected", len(m.relation.source), "single")
-    if not i_tgt.parent.same_cover(m.target_cover):
-        raise MixedParentError("table does not live on the morphism's target")
-    require_axioms(i_tgt, verify_interior_axioms(i_tgt))
+    result = lift(m, i_tgt, _co_restrictions)
     rel = m.relation
-    full_src = (1 << len(rel.source)) - 1
-    full_tgt = (1 << len(rel.target)) - 1
-    pre_top = rel.preimage_minus_mask(full_tgt)
-    if pre_top != full_src:
+    pre_top = rel.preimage_minus_mask((1 << len(rel.target)) - 1)
+    if pre_top != (1 << len(rel.source)) - 1:
         raise UpperBoundFailureError(rel.source.subset_from_mask(pre_top))
-    # the co-restriction of every carrier t, by mask: the target elements
-    # whose whole preimage lies in t, those outside the image of the rest
-    # of the source; as t runs up, its complement runs down the images
-    table = pull_back(m, i_tgt, [full_tgt ^ img for img in reversed(rel.images())])
-    result = InteriorTable(m.source_cover, table)
     axioms = verify_interior_axioms(result)
     if not axioms.passed:
         raise CompositionDefectError(
@@ -129,6 +117,13 @@ def initial_interior_corrected(
             f"corrected initial interior is not continuous: {cont.witness}"
         )
     return result
+
+
+def _co_restrictions(rel: Relation) -> list[int]:
+    """For every source carrier t, by mask, the target elements whose whole
+    preimage lies in t: those outside the image of the complement of t."""
+    full_tgt = (1 << len(rel.target)) - 1
+    return [full_tgt ^ img for img in reversed(rel.images())]
 
 
 # -- open subobjects ---------------------------------------------------------

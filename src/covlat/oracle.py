@@ -52,8 +52,8 @@ from .morphism import (
     compose,
     respects_covers,
 )
-from .sets import BaseSet, Subset, submasks
-from .table import OperatorTable, scan_axioms
+from .sets import BaseSet, Subset, joins_below, submasks
+from .table import OperatorTable, conjugate, scan_axioms
 from .verdict import Verdict, _jsonify
 
 if TYPE_CHECKING:  # annotations only: certify runs no subobject code
@@ -172,31 +172,19 @@ def random_cover(rng: random.Random, size: int, max_axioms: int | None = None) -
 
 def random_closure_table(rng: random.Random, parent: Cover) -> ClosureTable:
     """A random valid closure table: seed an extensive bottom-fixing map,
-    then force monotonicity by accumulating over sub-carriers."""
+    then force monotonicity by joining each entry with its sub-carriers'."""
     size = 1 << len(parent.base)
-    raw = [0] * size
-    for m in range(1, size):
-        raw[m] = m | rng.randrange(size)
-    for bit in range(len(parent.base)):
-        for m in range(size):
-            if m >> bit & 1:
-                raw[m] |= raw[m ^ 1 << bit]
-    return ClosureTable(parent, raw)
+    return ClosureTable(parent, joins_below([0] + [m | rng.randrange(size) for m in range(1, size)]))
 
 
 def random_interior_table(rng: random.Random, parent: Cover) -> InteriorTable:
+    """A random valid interior table: seed a contractive top-fixing map,
+    then force monotonicity through the conjugate closure table."""
     size = 1 << len(parent.base)
-    full = size - 1
-    raw = [0] * size
-    for m in range(size):
-        raw[m] = m & rng.randrange(size)
-    raw[full] = full
-    # intersect over all super-carriers to force monotonicity
-    for bit in range(len(parent.base)):
-        for m in range(size):
-            if not m >> bit & 1:
-                raw[m] &= raw[m | 1 << bit]
-    return InteriorTable(parent, raw)
+    raw = [m & rng.randrange(size) for m in range(size)]
+    raw[-1] = size - 1
+    closure = conjugate(InteriorTable(parent, raw))
+    return conjugate(ClosureTable(parent, joins_below(closure.table)))
 
 
 def _valid_tables(what: str, cls: type, parent: Cover):

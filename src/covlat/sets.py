@@ -109,9 +109,6 @@ class BaseSet:
     def full(self) -> Subset:
         return Subset(self, (1 << len(self._elements)) - 1)
 
-    def singleton(self, name: str) -> Subset:
-        return Subset(self, 1 << self.index(name))
-
     def sorted_member_table(self) -> list[list[str]]:
         """``subset_from_mask(m).sorted_members()`` for every mask ``m``, by mask."""
         return self.by_sorted_members([], lambda name: [name])

@@ -10,11 +10,11 @@ would report a different least witness.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .cover import Cover
 from .errors import ContinuityPreconditionError, InputError, MixedParentError, PartialTableError
-from .morphism import ValidatedMorphism
+from .morphism import Relation, ValidatedMorphism
 from .sets import BaseSet, Subset, first_escape, fixed_points, joins_below, meets_above, submasks
 from .verdict import Verdict
 
@@ -168,23 +168,6 @@ def fixed_carriers(t: OperatorTable) -> list[Subset]:
     return t.parent.base.subsets_from_masks(fixed_points(t.table))
 
 
-def pull_back(m: ValidatedMorphism, tgt: OperatorTable, inner: list[int]) -> list[int]:
-    """``preimage(tgt(inner[carrier]))`` for every source carrier of ``m``;
-    ``inner`` gives a target carrier for each source carrier, by mask."""
-    pre = m.relation.preimages()
-    return list(map(pre.__getitem__, map(tgt.table.__getitem__, inner)))
-
-
-def require_axioms(t: OperatorTable, axioms: Verdict) -> None:
-    """Reject ``t``, a table given as input, unless ``axioms``, its axiom
-    verdict, passes: the error names the failing axiom and its carriers as
-    sorted member lists."""
-    if not axioms.passed:
-        w = axioms.witness
-        where = ", ".join(f"{k} {v.sorted_members()}" for k, v in w.items() if k != "axiom")
-        raise InputError(f"target {t.kind} table fails {w['axiom']} at {where}")
-
-
 def fixed_preimages(
     m: ValidatedMorphism, cont: Verdict, src: OperatorTable, tgt: OperatorTable, **label
 ) -> Verdict:
@@ -213,6 +196,31 @@ def reflect(t: OperatorTable) -> OperatorTable:
     carrier.
     """
     return type(t)(t.parent, meets_above(fixed_points(t.table), len(t.parent.base)))
+
+
+# -- initial lifts -----------------------------------------------------------
+
+
+def lift(
+    m: ValidatedMorphism, tgt: OperatorTable, inner: Callable[[Relation], list[int]]
+) -> OperatorTable:
+    """The one pullback behind the initial lifts: the table of ``tgt``'s kind
+    on the source of ``m`` sending carrier u to ``preimage(tgt(inner(rel)[u]))``.
+
+    ``tgt`` must live on the target of ``m`` and pass its axioms, else the
+    input error names the failing axiom and its carriers; ``inner`` gives a
+    target carrier per source carrier, by mask, and runs after these checks.
+    """
+    if not tgt.parent.same_cover(m.target_cover):
+        raise MixedParentError("table does not live on the morphism's target")
+    axioms = scan_axioms(tgt)
+    if not axioms.passed:
+        w = axioms.witness
+        where = ", ".join(f"{k} {v.sorted_members()}" for k, v in w.items() if k != "axiom")
+        raise InputError(f"target {tgt.kind} table fails {w['axiom']} at {where}")
+    pre = m.relation.preimages()
+    outer = map(tgt.table.__getitem__, inner(m.relation))
+    return type(tgt)(m.source_cover, map(pre.__getitem__, outer))
 
 
 # -- axioms ------------------------------------------------------------------

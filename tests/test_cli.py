@@ -22,7 +22,7 @@ from covlat import (
 )
 from covlat import cli, errors
 from covlat.cli import build_parser, main
-from covlat.fileio import operator_text, operator_to_json, space_to_json, parse_space
+from covlat.fileio import operator_text, operator_to_json
 from conftest import DATA, cli_env, data_path, golden, run_cli
 
 
@@ -306,6 +306,46 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
         assert "unhashable" not in proc.stderr
         assert lines[0].endswith(f"element [{element!r}] is not in this base")
+
+    # Each input error names the file it is in.
+    @pytest.mark.parametrize(
+        "args,files,message",
+        [
+            (
+                ["morphism", "verify", "m.json"],
+                {
+                    "in.json": {"base": ["a"], "axioms": []},
+                    "m.json": {"source": "in.json", "target": "in.json", "pairs": [["a", "z"]]},
+                },
+                "m.json: element 'z' is not in this base",
+            ),
+            (
+                ["morphism", "verify", "m.json"],
+                {
+                    "in.json": {"base": ["a"], "axioms": []},
+                    "m.json": {"source": "in.json", "target": "in.json", "pairs": [["a"]]},
+                },
+                "m.json: pairs must be [source, target] pairs",
+            ),
+            (
+                ["check", "in.json"],
+                {"in.json": {"base": ["a"], "axioms": [["a", "a"]]}},
+                "in.json: axioms must be [element, [elements...]] pairs",
+            ),
+            (
+                ["check", "in.json"],
+                {"in.json": {"base": ["a"], "axioms": {"a": []}}},
+                "in.json: field 'axioms' has the wrong type",
+            ),
+        ],
+        ids=["pair-element", "pair-shape", "axiom-shape", "axioms-type"],
+    )
+    def test_input_error_names_its_file(self, tmp_path, args, files, message):
+        for name, data in files.items():
+            (tmp_path / name).write_text(json.dumps(data))
+        proc = run_cli(*args, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert (proc.stdout, proc.stderr) == ("", f"error: {message}\n")
 
     def test_unparsable_cap_override_warns_once(self):
         plain = run_cli("check", "m3.json")
@@ -652,21 +692,26 @@ class TestOperatorCommands:
         assert report["kind"] == "interior"
 
     @pytest.mark.parametrize(
-        "kind, outputs, message",
+        "kind, mode, outputs, message",
         [
-            ("closure", [[], [], [], []], "target closure table fails C1 at carrier ['a']"),
-            ("interior", [[], ["a", "b"], ["b"], ["a", "b"]], "target interior table fails I1 at carrier ['a']"),
+            ("closure", [], [[], [], [], []], "target closure table fails C1 at carrier ['a']"),
+            ("interior", [], [[], ["a", "b"], ["b"], ["a", "b"]],
+             "target interior table fails I1 at carrier ['a']"),
+            ("interior", ["--initial-mode", "paper"], [[], ["a", "b"], ["b"], ["a", "b"]],
+             "target interior table fails I1 at carrier ['a']"),
         ],
-        ids=["closure", "interior"],
+        ids=["closure", "interior", "interior-paper"],
     )
     def test_initial_target_failing_its_axioms_is_one_line_input_error(
-        self, tmp_path, kind, outputs, message
+        self, tmp_path, kind, mode, outputs, message
     ):
+        # paper mode too: its failing verdict must blame the construction,
+        # never the input
         carriers = [[], ["a"], ["b"], ["a", "b"]]
         rows = [list(row) for row in zip(carriers, outputs)]
         table = {"cover": data_path("free2.json"), "kind": kind, "table": rows}
         (tmp_path / "bad.json").write_text(json.dumps(table))
-        proc = run_cli("operator", "initial", data_path("id2.json"), "bad.json", cwd=tmp_path)
+        proc = run_cli("operator", "initial", data_path("id2.json"), "bad.json", *mode, cwd=tmp_path)
         assert proc.returncode == 2
         assert (proc.stdout, proc.stderr) == ("", f"error: {message}\n")
 
@@ -838,25 +883,6 @@ class TestRoundTrip:
         assert again.base == cover.base
         assert again.axioms == cover.axioms
         assert dump_json(instance_to_json(again)) == text
-
-    def test_space_round_trip(self):
-        data = {
-            "points": ["x", "y"],
-            "base": ["a"],
-            "forcing": [["x", "a"]],
-        }
-        sp = parse_space(data)
-        assert space_to_json(sp) == data
-        assert space_to_json(parse_space(space_to_json(sp))) == data
-
-    def test_space_with_unknown_element_is_input_error(self):
-        data = {"points": ["x"], "base": ["a"], "forcing": [["x", "z"]]}
-        with pytest.raises(InputError, match="^space: element 'z' is not in this base$"):
-            parse_space(data)
-
-    def test_space_with_bad_element_is_input_error(self):
-        with pytest.raises(InputError, match="^space: element identifiers must be non-empty strings: 1$"):
-            parse_space({"points": [], "base": [1], "forcing": []})
 
     def test_operator_round_trip(self):
         ws = Workspace()

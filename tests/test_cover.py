@@ -23,10 +23,12 @@ from covlat.oracle import (
     cover_from_table_full,
     default_base,
     down_full,
+    enumerate_covers,
     hasse_edges_full,
     is_convergent_full,
     minimal_covers_full,
     naive_saturate,
+    overt_via_positive_part,
     random_closure_table,
     random_cover,
     saturation_table_full,
@@ -457,6 +459,13 @@ class TestPosOvert:
         assert c.pos().sorted_members() == ["b"]
         # still overt: a covers the empty set, hence {a} inter Pos too
         assert c.is_overt().passed
+
+    def test_every_cover_on_at_most_two_elements_is_overt(self):
+        # U lies in sat(empty) | (U & Pos), inside sat(U & Pos), on any cover
+        covers = list(enumerate_covers(2))
+        assert len(covers) == 1 + 4 + 256
+        for c in covers:
+            assert c.is_overt().passed and overt_via_positive_part(c)
 
 
 class TestConcreteSpace:

@@ -21,6 +21,7 @@ from covlat import (
     ValidatedMorphism,
     initial_interior_paper,
     reflection,
+    verify_interior_axioms,
 )
 from covlat.cli import main
 from covlat.fileio import (
@@ -136,7 +137,8 @@ def test_operator_text_matches_dump_json(seed, size):
 @settings(max_examples=30, deadline=None)
 def test_cli_reports_match_dump_json(seed, size):
     """`operator reflect` and `initial --initial-mode paper` (along the
-    identity) print what `dump_json` prints for their dict forms."""
+    identity) print what `dump_json` prints for their dict forms; paper
+    mode prints nothing for a target that fails its axioms (exit 2)."""
     rng = random.Random(seed)
     base = shuffled_base(rng, size)
     cover = Cover(base)
@@ -158,6 +160,9 @@ def test_cli_reports_match_dump_json(seed, size):
                              "--initial-mode", "paper")
 
     assert reflect_out == (0, dump_json(operator_to_json(reflection(closure), "<derived>")) + "\n")
+    if not verify_interior_axioms(interior).passed:
+        assert paper_out == (2, "")
+        return
     m = ValidatedMorphism.build(Relation(base, base, identity), cover, cover)
     candidate, verdict = initial_interior_paper(m, interior)
     report = {

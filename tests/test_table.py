@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from covlat import (
     ClosureTable,
     InteriorTable,
+    InputError,
     BaseSet,
     MixedParentError,
     Cover,
@@ -43,7 +44,7 @@ from covlat.oracle import (
     scan_axioms_full,
 )
 from covlat.sets import joins_below, submasks
-from covlat.table import compare, conjugate, leq, pull_back, reflect, scan_axioms
+from covlat.table import compare, conjugate, leq, lift, reflect, scan_axioms
 from covlat.verdict import Verdict
 
 
@@ -300,13 +301,18 @@ def test_continuity_and_pull_backs_match_per_carrier_loops(seed, n1, n2, density
             assert v == v.ok(len(carriers))
         else:
             assert v == v.fail({"carrier": base.subset_from_mask(bad)}, bad + 1)
-        assert pull_back(m, t_tgt, rel.images()) == [
-            pre(t_tgt.table[img(s)]) for s in range(1 << n1)
+        valid = (random_closure_table if cls is ClosureTable else random_interior_table)(rng, tgt)
+        assert list(lift(m, valid, Relation.images).table) == [
+            pre(valid.table[img(s)]) for s in range(1 << n1)
         ]
-    i_tgt = _any_table(rng, tgt, InteriorTable)
+    i_tgt = random_interior_table(rng, tgt)
     assert list(initial_interior_paper(m, i_tgt)[0].table) == [
         pre(i_tgt.table[img(s)]) for s in range(1 << n1)
     ]
+    # lift takes a target only once it passes its axioms
+    if not scan_axioms(t_tgt).passed:
+        with pytest.raises(InputError, match="^target interior table fails I[123] at "):
+            lift(m, t_tgt, Relation.images)
     full_tgt = (1 << n2) - 1
     # the co-restrictions of initial_interior_corrected: {w : pre{w} inside s}
     assert [full_tgt ^ x for x in reversed(rel.images())] == [
