@@ -6,10 +6,11 @@ and transitive.  Saturation (the set of all elements covering ``U``) is
 computed from two compiled forms, memoized per subset: the axioms with
 one-element premises as a transitive closure, one bitmask per element,
 and a forward-chaining worklist over per-element watcher lists for the
-axioms with wider premises only.  Whole-powerset consumers read one
-saturation table per cover instead, built from saturated sets plus one
-element, in one pass wherever that element's closure meets no wide
-premise.
+axioms with wider premises only.  The frame, its Hasse diagram and the
+relativized axioms are built from saturated sets plus one element; the
+table of all 2^n saturations is built once per cover, in one pass per
+element whose closure meets no wide premise, only for the minimal-cover
+scan and convergence.
 
 A cover may instead be given by that table itself.  Concrete topological
 spaces (points, observables and a forcing relation), finite suplattices
@@ -177,39 +178,78 @@ class Cover:
                     result |= up[head]
         return result
 
+    def _add_bit(self, k: int, sets: list[int]) -> list[int]:
+        """sat(s + {k}) for each saturated s in ``sets``: read from the table
+        when the cover holds one, one pass ``s | up[k]`` when k is inert
+        (its closure meets no wide premise, so it fires nothing), else a
+        chain from s."""
+        bit = 1 << k
+        table = self._table
+        if table is not None:
+            return [table[s | bit] for s in sets]
+        if bit & self._inert:
+            up = self._up[k]
+            return [s | up for s in sets]
+        add = self._chain
+        return [s if s & bit else add(s, bit) for s in sets]
+
     def saturation_table(self) -> list[int]:
         """sat(m) for every mask m, in mask order: the given table, or
-        computed once per axiom cover.
+        computed once per axiom cover.  Only the quantifiers that read
+        arbitrary masks build it: the minimal-cover scan and convergence.
 
         Built by doubling on the highest bit: with the table for the masks
         below 2^k in hand, bit b = 2^k gives the next 2^k entries, since
-        sat(v + b) = sat(sat(v) + b) for v below 2^k.  That is sat(v) when
-        b is already in it, and ``_chain(sat(v), b)`` otherwise: a chain
-        from a saturated set plus one element, run once per distinct
-        saturated set s and bit, so at most n * |F| chains for a frame F
-        of saturated sets, none of them through ``saturate_mask`` or its
-        cache on an axiom cover.  An element whose closure ``up[b]``
-        meets no wide premise adds that closure and fires nothing, so its
-        bit is one pass ``s | up[b]``; a cover whose premises all have at
-        most one element (free, chain, all-equivalent) runs no chain but
-        the one for sat(∅).  The reference is
-        ``oracle.saturation_table_full``.
+        sat(v + b) = sat(sat(v) + b) for v below 2^k, which ``_add_bit``
+        gives: on the whole table for an inert bit, else once per distinct
+        saturated set s, so at most n * |F| chains for a frame F of
+        saturated sets, none of them through ``saturate_mask`` or its
+        cache.  A cover whose premises all have at most one element (free,
+        chain, all-equivalent) runs no chain but the one for sat(∅).  The
+        reference is ``oracle.saturation_table_full``.
         """
         if self._table is None:
             n = len(self.base)
             require_cap("saturation_table", n, "single")
-            add = self._chain
             table = [self.saturate_mask(0)]
             for k in range(n):
-                bit = 1 << k
-                if bit & self._inert:
-                    up = self._up[k]
-                    table += [s | up for s in table]
+                if self._inert >> k & 1:
+                    table += self._add_bit(k, table)
                 else:
-                    step = {s: s if s & bit else add(s, bit) for s in set(table)}
+                    distinct = list(set(table))
+                    step = dict(zip(distinct, self._add_bit(k, distinct)))
                     table += list(map(step.__getitem__, table))
             self._table = table
         return self._table
+
+    def frame_masks(self) -> list[int]:
+        """The saturated sets in mask order: the fixed points of the table
+        when the cover holds one, else doubling over the saturated sets.
+
+        From F = {sat(∅)}, element k adds sat(s + k) for each s in F not
+        holding k; as sat(v + k) = sat(sat(v) + k), F ends as the image of
+        sat, with at most n * |F| chains.  An inert k whose closure meets
+        no set found so far gives distinct new sets s | up[k]; any other
+        step drops repeats through a set of its new sets only.
+        """
+        if self._table is not None:
+            return fixed_points(self._table)
+        n = len(self.base)
+        require_cap("frame_masks", n, "single")
+        frame = [self.saturate_mask(0)]
+        top = frame[0]  # sat of the elements so far, holding every set found
+        for k in range(n):
+            bit = 1 << k
+            if bit & self._inert and not self._up[k] & top:
+                new = self._add_bit(k, frame)
+                top |= self._up[k]
+            else:
+                new = set(self._add_bit(k, [s for s in frame if not s & bit]))
+                new.difference_update(frame)
+                top |= max(new, default=0)
+            frame += new
+        frame.sort()
+        return frame
 
     def saturate(self, u: Subset) -> Subset:
         self._check(u)
@@ -257,8 +297,8 @@ class Cover:
         {a} alone when a is covered only by the sets holding it, every
         singleton on an all-equivalent cover.  Such an a leaves the scan,
         which is skipped when no element is left (a free, chain or
-        all-equivalent cover).  The reference is
-        ``oracle.minimal_covers_full``.
+        all-equivalent cover); the skip test reads through ``saturate_mask``
+        and the table is built only for the scan.  The reference is ``oracle.minimal_covers_full``.
 
         Computed once per cover, like the saturation table: every caller
         shares the same lists and must not mutate them.
@@ -266,18 +306,18 @@ class Cover:
         if self._minimal is None:
             n = len(self.base)
             require_cap("minimal_covers", n, "single")
-            sat = self.saturation_table()
-            full = len(sat) - 1
+            full = (1 << n) - 1
+            below = [self.saturate_mask(1 << x) for x in range(n)]
             minimal: list[list[int]] = [[] for _ in range(n)]
-            singletons = [1 << x for x in range(n)]
             rest = full  # the elements left to the scan
             for a in range(n):
-                covering = [s for s in singletons if sat[s] >> a & 1]  # {a} among them
-                if not sat[full ^ sum(covering)] >> a & 1:
+                covering = [1 << x for x in range(n) if below[x] >> a & 1]  # {a} among them
+                if not self.saturate_mask(full ^ sum(covering)) >> a & 1:
                     minimal[a] = covering
                     rest ^= 1 << a
+            sat = self.saturation_table() if rest else ()
             if rest != full:
-                sat = [s & rest for s in sat] if rest else ()
+                sat = [s & rest for s in sat]
             for v, fresh in enumerate(sat):
                 m = v
                 while m and fresh:
@@ -312,8 +352,8 @@ class Cover:
         n = len(self.base)
         require_cap("is_convergent", n, "double")
         checked = 0
+        sat = self.saturation_table()  # first, so minimal_covers' lookups read it
         minimal = self.minimal_covers()
-        sat = self.saturation_table()
         down = {m: self.down_mask(m, m) for m in set().union(*minimal)}
         for a in range(n):
             bit = 1 << a
@@ -336,10 +376,9 @@ class Cover:
     def saturated_sets(self) -> "FrameOfSaturated":
         n = len(self.base)
         require_cap("saturated_sets", n, "single")
-        fixed = self.base.subsets_from_masks(fixed_points(self.saturation_table()))
-        convergent = None
-        if n <= cap_for("double"):
-            convergent = self.is_convergent()
+        # convergence first: at n <= 8 its table's own ints are the frame
+        convergent = self.is_convergent() if n <= cap_for("double") else None
+        fixed = self.base.subsets_from_masks(self.frame_masks())
         return FrameOfSaturated(self, tuple(fixed), convergent)
 
     def pos(self) -> Subset:
@@ -400,21 +439,22 @@ class FrameOfSaturated:
 
         Every saturated v strictly above u contains some x outside u, and
         so contains sat(u + x); the upper covers of u are therefore the
-        minimal sets among those n saturations, read from the cover's
-        saturation table.  Such a v = sat(u + x) is minimal exactly when
-        sat(u + y) = v for every y in v - u (a y giving a smaller set
-        would put it between u and v), that is when (v - u).bit_count()
-        of the x outside u give v: a count, not a scan of the other
-        saturations.  Edges come in (u, v) mask order, as in
-        ``oracle.hasse_edges_full``.
+        minimal sets among those n saturations, from n bulk passes of
+        ``Cover._add_bit`` over the frame, which build no table.  Such a
+        v = sat(u + x) is minimal exactly when sat(u + y) = v for every y
+        in v - u (a y giving a smaller set would put it between u and v),
+        that is when (v - u).bit_count() of the x outside u give v: a
+        count, not a scan of the other saturations.  Edges come in (u, v)
+        mask order, as in ``oracle.hasse_edges_full``.
         """
-        table = self.cover.saturation_table()
+        cover = self.cover
         by_mask = {s.mask: s for s in self.sets}
-        bits = [1 << x for x in range(len(self.cover.base))]
+        masks = [s.mask for s in self.sets]
+        columns = [cover._add_bit(k, masks) for k in range(len(cover.base))]
         edges = []
-        for u in self.sets:
+        for u, row in zip(self.sets, zip(*columns)):
             m = u.mask
-            ups = [table[m | b] for b in bits if not m & b]
+            ups = [v for v in row if v != m]  # sat(u + x) = u for x in u
             for v in sorted(set(ups)):
                 if ups.count(v) == (v ^ m).bit_count():
                     edges.append((u, by_mask[v]))

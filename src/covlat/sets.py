@@ -275,8 +275,8 @@ def transitive_closure(rows: Iterable[int]) -> list[int]:
 
 def fixed_points(table: Sequence[int]) -> list[int]:
     """The entries ``table[m]`` with ``table[m] == m``, in mask order: the
-    saturated sets of a saturation table, the fixed carriers of an
-    operator table.
+    fixed carriers of an operator table, and the frame of a cover that
+    already holds its saturation table.
 
     The entries are the table's own objects, not the equal ints that
     ``enumerate`` counts out, so a frame read from a table that is kept

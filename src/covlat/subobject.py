@@ -13,7 +13,7 @@ from __future__ import annotations
 from .caps import require_cap
 from .cover import Cover
 from .errors import BaseMismatchError
-from .sets import Subset, fixed_points, submasks
+from .sets import Subset, submasks
 from .verdict import Verdict
 
 
@@ -77,7 +77,7 @@ def induced_cover(parent: Cover, t: Subset) -> list[tuple[str, Subset]]:
     n = len(parent.base)
     require_cap("induced_cover", n, "single")
     comp = t.complement()
-    saturated = fixed_points(parent.saturation_table())
+    saturated = parent.frame_masks()
     out = []
     seen = set()
     for a_idx in range(n):

@@ -149,6 +149,13 @@ SINGLETON_COVER_SHAPES = {
 }
 
 
+def shape_cover(shape, size):
+    """The cover of a `SINGLETON_COVER_SHAPES` shape on `size` elements."""
+    axioms, _ = SINGLETON_COVER_SHAPES[shape]
+    names = default_base(size).elements
+    return Cover.from_axiom_names(default_base(size), [(names[x], [names[y]]) for x, y in axioms(size)])
+
+
 class TestMinimalCoverCuts:
     """The minimal-cover and upper-cover scans against the full scans."""
 
@@ -161,12 +168,12 @@ class TestMinimalCoverCuts:
     @pytest.mark.parametrize("size", [0, 1, 2, 3, 6, 10])
     @pytest.mark.parametrize("shape", sorted(SINGLETON_COVER_SHAPES))
     def test_minimal_covers_that_exit_at_once(self, shape, size):
-        # every candidate of a singleton cover v goes at v's first bit
-        axioms, minimal = SINGLETON_COVER_SHAPES[shape]
-        base = default_base(size)
-        names = base.elements
-        c = Cover.from_axiom_names(base, [(names[x], [names[y]]) for x, y in axioms(size)])
+        # every candidate of a singleton cover v goes at v's first bit; no
+        # element is left to the scan, so no table is built
+        _, minimal = SINGLETON_COVER_SHAPES[shape]
+        c = shape_cover(shape, size)
         got = c.minimal_covers()
+        assert c._table is None
         assert got == [minimal(size, a) for a in range(size)]
         assert got == minimal_covers_full(c)
 
@@ -206,6 +213,7 @@ class TestMinimalCoverCuts:
         # a is minimally covered by {a} and {b, c}; the pair ({b, c}, {a})
         # is the second one examined and fails
         assert m3_cover.minimal_covers()[0] == [0b001, 0b110]
+        assert m3_cover._table is not None  # the scan reads the table
         assert m3_cover.is_convergent().checked == 2
 
 
@@ -241,12 +249,12 @@ def assert_table_matches_scans(c):
 
 
 @st.composite
-def mixed_premise_covers(draw, max_size=6):
+def mixed_premise_covers(draw, max_size=6, min_size=1):
     """Covers whose premises have 0, 1 or 2+ elements with comparable
     weights.  Each cover first draws the premise sizes it uses, so covers
     with only one-element premises, or none, are common; `random_cover`
     draws bodies uniformly from all subsets, mostly wide ones."""
-    size = draw(st.integers(1, max_size))
+    size = draw(st.integers(min_size, max_size))
     names = default_base(size).elements
     kinds = draw(st.sets(st.sampled_from(["empty", "one", "wide"][: 2 + (size > 1)]), min_size=1))
     pairs = []
@@ -402,11 +410,7 @@ class TestSaturationTable:
     @pytest.mark.parametrize("shape,size", [("alleq", 10), ("alleq", 11), ("chain", 12)])
     def test_one_element_premises_chain_only_the_empty_set(self, monkeypatch, shape, size):
         # every bit adds its closure in one pass: the one chain is sat(0)
-        axioms, _ = SINGLETON_COVER_SHAPES[shape]
-        names = default_base(size).elements
-        c = Cover.from_axiom_names(
-            default_base(size), [(names[x], [names[y]]) for x, y in axioms(size)]
-        )
+        c = shape_cover(shape, size)
         starts = []
         chain = Cover._chain
 
@@ -419,6 +423,92 @@ class TestSaturationTable:
         assert starts == [(0, 0)]
         monkeypatch.undo()
         assert table == saturation_table_full(c)
+
+
+def assert_frame_matches_scans(c, frame=None):
+    """The frame (``frame_masks()`` unless given), its Hasse edges on at
+    most 64 sets and the relativized axioms of a few carriers agree with
+    the fixed points of one saturation per subset; a cover that held no
+    table still holds none."""
+    n = len(c.base)
+    fresh = c._table is None
+    full = saturation_table_full(c)
+    closed = [m for m in range(1 << n) if full[m] == m]
+    masks = c.frame_masks() if frame is None else [s.mask for s in frame.sets]
+    assert masks == closed
+    if len(closed) <= 64:
+        fr = FrameOfSaturated(c, tuple(c.base.subsets_from_masks(closed)), None)
+        assert fr.hasse_edges() == hasse_edges_full(fr)
+    step = 3 if n <= 6 else (1 << n) // 3
+    for t in range(0, 1 << n, step):
+        carrier = c.base.subset_from_mask(t)
+        assert induced_cover(c, carrier) == induced_cover_scan(c, full, carrier)
+    assert (c._table is None) == fresh
+
+
+class TestFrameWithoutTable:
+    """`frame_masks`, `hasse_edges` and `induced_cover` on fresh covers,
+    which double over the saturated sets and build no 2^n table."""
+
+    @given(mixed_premise_covers())
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_premise_covers(self, c):
+        assert_frame_matches_scans(c)
+        assert c._table is None
+
+    @pytest.mark.parametrize("density", [1, 2, 4])
+    @given(st.integers(0, 10_000), st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_random_covers(self, density, seed, size):
+        c = random_cover(random.Random(seed), size, density * size)
+        assert_frame_matches_scans(c)
+        assert c._table is None
+
+    @given(st.integers(0, 10_000), st.integers(0, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_concrete_space_covers(self, seed, size):
+        assert_frame_matches_scans(random_space_cover(random.Random(seed), size))
+
+    @pytest.mark.parametrize("name", sorted(standard_suplattices()))
+    def test_suplattice_covers(self, name):
+        assert_frame_matches_scans(cover_from_suplattice(standard_suplattices()[name]))
+
+    @given(mixed_premise_covers(max_size=11, min_size=9))
+    @settings(max_examples=25, deadline=None)
+    def test_sparse_covers_above_the_double_cap(self, c):
+        # no convergence above the double cap: saturated_sets doubles itself
+        fr = c.saturated_sets()
+        assert fr.convergent is None
+        assert_frame_matches_scans(c, fr)
+        assert c._table is None
+
+    @pytest.mark.parametrize("shape,size", [("chain", 12), ("alleq", 10), ("alleq", 11), ("free", 9)])
+    def test_frame_readers_build_no_table(self, monkeypatch, shape, size):
+        c = shape_cover(shape, size)
+        chains = []
+        chain = Cover._chain
+
+        def counted(self, s, added):
+            chains.append((s, added))
+            return chain(self, s, added)
+
+        monkeypatch.setattr(Cover, "_chain", counted)
+        fr = c.saturated_sets()
+        edges = fr.hasse_edges()
+        carrier = c.base.subset_from_mask((1 << size // 2) - 1)
+        induced = induced_cover(c, carrier)
+        assert c._table is None
+        assert len(chains) <= size * len(fr)
+        monkeypatch.undo()
+        full = saturation_table_full(c)
+        assert [s.mask for s in fr.sets] == [m for m, s in enumerate(full) if s == m]
+        if len(fr) <= 64:
+            assert edges == hasse_edges_full(fr)
+        else:  # free: every set and one element more
+            assert [(u.mask, v.mask) for u, v in edges] == sorted(
+                (u, u | 1 << x) for u in range(1 << size) for x in range(size) if not u >> x & 1
+            )
+        assert induced == induced_cover_scan(c, full, carrier)
 
 
 class TestFrame:
