@@ -51,26 +51,26 @@ def _emit(report) -> None:
     print(dump_json(report))
 
 
-def dot_diagram(nodes, edges) -> str:
-    """Graphviz digraph: one node per set, edges from smaller to larger.
+def dot_diagram(frame, edges) -> str:
+    """Graphviz digraph of a frame: one node per saturated set, and one
+    edge per Hasse pair of masks, from smaller to larger.
 
     A node's id is the set's sorted member names joined by commas, each
     name with its backslashes, quotes and commas escaped by a backslash,
     so distinct sets get distinct ids; its label is the set as ``{a,b}``.
     """
+    members = sorted((name, 1 << i) for i, name in enumerate(frame.cover.base.elements))
 
-    def names(s, special):
-        return ",".join(re.sub(special, r"\\\g<0>", name) for name in s.sorted_members())
+    def names(mask, special):
+        return ",".join(re.sub(special, r"\\\g<0>", name) for name, bit in members if mask & bit)
 
-    def node_id(s):
-        return '"' + names(s, r'[\\",]') + '"'
-
+    ids = {mask: '"' + names(mask, r'[\\",]') + '"' for mask in frame.masks}
     lines = ["digraph {", "  rankdir=BT;"]
-    for s in nodes:
-        label = '"{' + names(s, r'[\\"]') + '}"'
-        lines.append(f"  {node_id(s)} [label={label}];")
+    for mask, node_id in ids.items():
+        label = '"{' + names(mask, r'[\\"]') + '}"'
+        lines.append(f"  {node_id} [label={label}];")
     for lo, hi in edges:
-        lines.append(f"  {node_id(lo)} -> {node_id(hi)};")
+        lines.append(f"  {ids[lo]} -> {ids[hi]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -102,11 +102,11 @@ def cmd_frame(args) -> int:
     if args.dot:
         try:
             with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(dot_diagram(frame.sets, edges))
+                fh.write(dot_diagram(frame, edges))
         except OSError as exc:
             raise InputError(f"cannot write {args.dot}: {exc}") from exc
         _say(f"wrote {args.dot}")
-    _say(f"{len(frame.sets)} saturated sets")
+    _say(f"{len(frame)} saturated sets")
     print(frame_text(args.instance, frame, edges))
     return 0
 

@@ -251,23 +251,6 @@ class Cover:
         frame.sort()
         return frame
 
-    def saturate(self, u: Subset) -> Subset:
-        self._check(u)
-        return self.base.subset_from_mask(self.saturate_mask(u.mask))
-
-    def covers(self, a: str, u: Subset) -> bool:
-        self._check(u)
-        return bool(self.saturate_mask(u.mask) >> self.base.index(a) & 1)
-
-    def covers_subset(self, u: Subset, v: Subset) -> bool:
-        self._check(u)
-        self._check(v)
-        return u.mask & ~self.saturate_mask(v.mask) == 0
-
-    def _check(self, u: Subset) -> None:
-        if u.base != self.base:
-            raise BaseMismatchError("subset belongs to a different base")
-
     # -- meets via the down-set ----------------------------------------------
 
     def down_mask(self, u: int, v: int) -> int:
@@ -277,11 +260,6 @@ class Cover:
             self._singletons = [self.saturate_mask(1 << x) for x in range(len(self.base))]
         sats = self._singletons
         return union_over(sats, u) & union_over(sats, v)
-
-    def down(self, u: Subset, v: Subset) -> Subset:
-        self._check(u)
-        self._check(v)
-        return self.base.subset_from_mask(self.down_mask(u.mask, v.mask))
 
     # -- global predicates ---------------------------------------------------
 
@@ -378,8 +356,7 @@ class Cover:
         require_cap("saturated_sets", n, "single")
         # convergence first: at n <= 8 its table's own ints are the frame
         convergent = self.is_convergent() if n <= cap_for("double") else None
-        fixed = self.base.subsets_from_masks(self.frame_masks())
-        return FrameOfSaturated(self, tuple(fixed), convergent)
+        return FrameOfSaturated(self, self.frame_masks(), convergent)
 
     def pos(self) -> Subset:
         """Elements not covered by the empty subset."""
@@ -399,43 +376,30 @@ class Cover:
 
 
 class FrameOfSaturated:
-    """The fixpoints of saturation, ordered by inclusion.
+    """The fixpoints of saturation, ordered by inclusion: ``masks``, the
+    cover's ``frame_masks()`` in mask order, with the convergence verdict
+    ``saturated_sets`` took (None above the ``double`` cap).
 
-    Joins are saturations of unions; binary meets (saturations of
-    down-sets) are attached only when the cover is convergent.
+    The library reads masks only.  ``sets`` is the boundary view for a
+    caller that wants names: one Subset per saturated set, built in one
+    ``BaseSet.subsets_from_masks`` call on every read.
     """
 
-    def __init__(self, cover: Cover, sets: tuple[Subset, ...], convergent: Verdict | None):
+    def __init__(self, cover: Cover, masks: list[int], convergent: Verdict | None):
         self.cover = cover
-        self.sets = sets
+        self.masks = masks
         self.convergent = convergent
 
     def __len__(self) -> int:
-        return len(self.sets)
-
-    def __iter__(self):
-        return iter(self.sets)
-
-    def __contains__(self, u: Subset) -> bool:
-        return u.base == self.cover.base and self.cover.saturate_mask(u.mask) == u.mask
+        return len(self.masks)
 
     @property
-    def has_meets(self) -> bool:
-        return self.convergent is not None and self.convergent.passed
+    def sets(self) -> tuple[Subset, ...]:
+        return tuple(self.cover.base.subsets_from_masks(self.masks))
 
-    def join(self, u: Subset, v: Subset) -> Subset:
-        return self.cover.saturate(u | v)
-
-    def meet(self, u: Subset, v: Subset) -> Subset:
-        if not self.has_meets:
-            raise ValueError("meets are only defined for convergent covers")
-        return self.cover.saturate(self.cover.down(u, v))
-
-    def leq(self, u: Subset, v: Subset) -> bool:
-        return u.issubset(v)
-
-    def hasse_edges(self) -> list[tuple[Subset, Subset]]:
-        """Covering pairs (u, v) with u strictly below v and nothing between.
+    def hasse_edges(self) -> list[tuple[int, int]]:
+        """Covering pairs (u, v) of masks, u strictly below v and nothing
+        between, each end the frame's own int.
 
         Every saturated v strictly above u contains some x outside u, and
         so contains sat(u + x); the upper covers of u are therefore the
@@ -448,16 +412,15 @@ class FrameOfSaturated:
         mask order, as in ``oracle.hasse_edges_full``.
         """
         cover = self.cover
-        by_mask = {s.mask: s for s in self.sets}
-        masks = [s.mask for s in self.sets]
+        masks = self.masks
+        own = dict(zip(masks, masks))  # a computed saturation -> the frame's equal int
         columns = [cover._add_bit(k, masks) for k in range(len(cover.base))]
         edges = []
-        for u, row in zip(self.sets, zip(*columns)):
-            m = u.mask
-            ups = [v for v in row if v != m]  # sat(u + x) = u for x in u
+        for u, row in zip(masks, zip(*columns)):
+            ups = [v for v in row if v != u]  # sat(u + x) = u for x in u
             for v in sorted(set(ups)):
-                if ups.count(v) == (v ^ m).bit_count():
-                    edges.append((u, by_mask[v]))
+                if ups.count(v) == (v ^ u).bit_count():
+                    edges.append((u, own[v]))
         return edges
 
 
@@ -468,7 +431,8 @@ class ConcreteSpace:
     """Points, observables and a forcing relation between them.
 
     The space axioms (every point forces something; forced intersections
-    refine) are checkable predicates, not assumed.
+    refine) are not checked: the induced cover is a cover without them,
+    and its convergence is checked on the cover itself.
     """
 
     def __init__(
@@ -496,36 +460,6 @@ class ConcreteSpace:
             pairs.add((point, obs))
         self.forcing = frozenset(pairs)
         self._ext = ext
-
-    def check_b1(self) -> Verdict:
-        """Every point must force at least one observable."""
-        forced = union_over(self._ext, (1 << len(self._ext)) - 1)
-        checked = 0
-        for i, p in enumerate(self.points):
-            checked += 1
-            if not forced >> i & 1:
-                return Verdict.fail({"point": p}, checked)
-        return Verdict.ok(checked)
-
-    def check_b2(self) -> Verdict:
-        """Shared neighborhoods must refine: the points forcing both a and b
-        must all force some observable lying below both."""
-        n = len(self.base)
-        checked = 0
-        for ia in range(n):
-            for ib in range(n):
-                checked += 1
-                inter = self._ext[ia] & self._ext[ib]
-                below_both = 0
-                for ic in range(n):
-                    if self._ext[ic] & ~inter == 0:
-                        below_both |= self._ext[ic]
-                if inter & ~below_both:
-                    return Verdict.fail(
-                        {"pair": [self.base.elements[ia], self.base.elements[ib]]},
-                        checked,
-                    )
-        return Verdict.ok(checked)
 
 
 def cover_from_concrete_space(space: ConcreteSpace) -> Cover:

@@ -211,8 +211,8 @@ def table_text(table) -> str:
 
 def frame_text(path: str, frame, edges) -> str:
     """``dump_json`` of the ``frame`` report of ``path``: the frame's
-    saturated sets, the Hasse ``edges`` between them and the convergence
-    verdict, written from one fragment per saturated set.
+    saturated sets, the Hasse ``edges`` (mask pairs) between them and the
+    convergence verdict, written from one fragment per saturated set.
 
     A fragment is a set's sorted member list, each name encoded once and
     indented as a ``saturated`` entry; one more level of indent makes it a
@@ -225,11 +225,11 @@ def frame_text(path: str, frame, edges) -> str:
         for name, i in sorted((name, i) for i, name in enumerate(elements))
     ]
     entries = {}
-    for s in frame.sets:
-        body = "".join(text for bit, text in items if s.mask & bit)
-        entries[s.mask] = "[" + body[1:] + "\n  ]" if body else "[]"
+    for mask in frame.masks:
+        body = "".join(text for bit, text in items if mask & bit)
+        entries[mask] = "[" + body[1:] + "\n  ]" if body else "[]"
     sides = {mask: entry.replace("\n", "\n  ") for mask, entry in entries.items()}
-    hasse = ["[\n    " + sides[lo.mask] + ",\n    " + sides[hi.mask] + "\n  ]" for lo, hi in edges]
+    hasse = ["[\n    " + sides[lo] + ",\n    " + sides[hi] + "\n  ]" for lo, hi in edges]
     convergent = frame.convergent.to_json() if frame.convergent is not None else None
     return dump_fields(
         [

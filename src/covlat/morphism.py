@@ -20,7 +20,7 @@ from .errors import (
     CompositionDefectError,
     MorphismValidationError,
 )
-from .sets import BaseSet, Subset, union_over, unions
+from .sets import BaseSet, union_over, unions
 from .verdict import Verdict
 
 
@@ -64,26 +64,13 @@ class Relation:
     def __repr__(self) -> str:
         return f"Relation({sorted(self.pairs)!r})"
 
-    def converse(self) -> "Relation":
-        return Relation(self.target, self.source, [(t, s) for s, t in self.pairs])
-
     # -- image operators -----------------------------------------------------
 
     def preimage_minus_mask(self, w_mask: int) -> int:
         return union_over(self._preimage, w_mask)
 
-    def preimage_minus(self, w: Subset) -> Subset:
-        if w.base != self.target:
-            raise BaseMismatchError("subset is not over the target base")
-        return self.source.subset_from_mask(self.preimage_minus_mask(w.mask))
-
     def direct_image_mask(self, x_mask: int) -> int:
         return union_over(self._image, x_mask)
-
-    def direct_image(self, x: Subset) -> Subset:
-        if x.base != self.source:
-            raise BaseMismatchError("subset is not over the source base")
-        return self.target.subset_from_mask(self.direct_image_mask(x.mask))
 
     def images(self) -> list[int]:
         """``direct_image_mask(x)`` for every source mask x, by mask."""

@@ -309,16 +309,18 @@ def is_convergent_full(cover: Cover) -> Verdict:
     return Verdict.ok(checked)
 
 
-def hasse_edges_full(frame: FrameOfSaturated) -> list[tuple[Subset, Subset]]:
-    """Covering pairs found by testing every triple of saturated sets."""
+def hasse_edges_full(frame: FrameOfSaturated) -> list[tuple[int, int]]:
+    """Covering pairs of masks found by testing every triple of saturated sets."""
+
+    def below(u, v):
+        return u != v and u & ~v == 0
+
+    masks = frame.masks
     edges = []
-    for u in frame.sets:
-        for v in frame.sets:
-            if not u < v:
-                continue
-            if any(u < w < v for w in frame.sets):
-                continue
-            edges.append((u, v))
+    for u in masks:
+        for v in masks:
+            if below(u, v) and not any(below(u, w) and below(w, v) for w in masks):
+                edges.append((u, v))
     return edges
 
 

@@ -88,9 +88,11 @@ class BaseSet:
 
     def subsets_from_masks(self, masks: Iterable[int]) -> list[Subset]:
         """The subsets with these masks, in the given order, for masks the
-        caller has already bounded (a saturation table's fixed points, a
-        range of masks); a mask that may come from outside goes through
-        :meth:`subset_from_mask` and its range check.
+        caller has already bounded: a frame's saturated sets (the boundary
+        view ``FrameOfSaturated.sets``), an operator table's fixed
+        carriers, a sublocale family, a range of masks.  A mask that may
+        come from outside goes through :meth:`subset_from_mask` and its
+        range check.
 
         Each Subset is made by ``Subset.__new__`` and filled through the
         slot descriptors, one ``map`` per slot, which skips the range check

@@ -21,6 +21,7 @@ from covlat import (
     parse_instance,
 )
 from covlat import cli, errors
+from covlat.sets import Subset
 from covlat.cli import build_parser, main
 from covlat.fileio import operator_text, operator_to_json
 from conftest import DATA, cli_env, data_path, golden, run_cli
@@ -140,7 +141,7 @@ class TestGoldenFiles:
         # a name must not end its quoted string
         base = BaseSet(["a", "b", "a,b", 'x"y', "z\\"])
         frame = Cover.from_axiom_names(base, []).saturated_sets()
-        text = cli.dot_diagram(frame.sets, frame.hasse_edges())
+        text = cli.dot_diagram(frame, frame.hasse_edges())
         quoted = r'"(?:[^"\\]|\\.)*"'
         nodes = re.findall(rf"^  ({quoted}) \[label={quoted}\];$", text, re.M)
         assert len(set(nodes)) == len(frame.sets) == 32
@@ -241,6 +242,47 @@ class TestErrorExitCodes:
         assert capsys.readouterr() == ("", "error: boom\n")
 
 
+class TestFrameBuildsNoSubset:
+    """The frame and its Hasse edges are masks: neither the library nor
+    the `frame` command makes a Subset for a passing cover."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        made = []
+        init, bulk = Subset.__init__, BaseSet.subsets_from_masks
+
+        def counted_init(self, base, mask):
+            made.append(mask)
+            init(self, base, mask)
+
+        def counted_bulk(self, masks):
+            masks = list(masks)
+            made.extend(masks)
+            return bulk(self, masks)
+
+        monkeypatch.setattr(Subset, "__init__", counted_init)
+        monkeypatch.setattr(BaseSet, "subsets_from_masks", counted_bulk)
+        return made
+
+    @pytest.mark.parametrize("size", [None, 9], ids=["chain", "free9"])
+    def test_saturated_sets_and_hasse_edges(self, made, size):
+        # free9 lies above the double cap: no convergence, no table
+        if size is None:
+            cover = load_instance(data_path("chain.json"))
+        else:
+            cover = Cover(BaseSet(f"e{i}" for i in range(size)))
+        made.clear()
+        frame = cover.saturated_sets()
+        assert frame.hasse_edges()
+        assert made == []
+
+    def test_frame_command(self, made, monkeypatch, capsys):
+        monkeypatch.chdir(DATA)
+        assert main(["frame", "chain.json"]) == 0
+        assert made == []
+        assert capsys.readouterr().out == golden("frame_chain.json")
+
+
 class TestExitCodes:
     def test_pass_is_zero(self):
         assert run_cli("check", "free2.json").returncode == 0
@@ -277,6 +319,27 @@ class TestExitCodes:
         proc = run_cli("frame", "chain.json", "--dot", str(target))
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"error: cannot write {target}: ")
+        assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "size, extra, env, code, error",
+        [
+            (17, [], {}, 3, "saturated_sets: base size 17 exceeds cap 16"),
+            (3, [], {"COVLAT_MAX_BASE": "2"}, 3, "saturated_sets: base size 3 exceeds cap 2"),
+            (3, ["--dot", "missing/g.dot"], {}, 2, "cannot write missing/g.dot: "),
+            (None, [], {}, 2, "in.json: invalid JSON at line 1"),
+        ],
+        ids=["hard-cap", "override", "unwritable-dot", "malformed-json"],
+    )
+    def test_failing_frame_prints_nothing(self, tmp_path, size, extra, env, code, error):
+        # every failing exit comes before the first byte of the report
+        names = [f"e{i}" for i in range(size or 0)]
+        text = '{"base": ' if size is None else json.dumps({"base": names, "axioms": []})
+        (tmp_path / "in.json").write_text(text)
+        proc = run_cli("frame", "in.json", *extra, cwd=tmp_path, env=env)
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: " + error)
         assert len(proc.stderr.splitlines()) == 1
 
     # An element given as a list: once per place an element name is read.

@@ -66,10 +66,14 @@ def write(path, data):
 
 def frame_report(path, frame, edges):
     """The dict form of the ``frame`` report, which ``dump_json`` printed."""
+
+    def names(mask):
+        return frame.cover.base.subset_from_mask(mask).sorted_members()
+
     return {
         "file": path,
         "saturated": [s.sorted_members() for s in frame.sets],
-        "hasse": [[lo.sorted_members(), hi.sorted_members()] for lo, hi in edges],
+        "hasse": [[names(lo), names(hi)] for lo, hi in edges],
         "convergent": frame.convergent.to_json() if frame.convergent is not None else None,
     }
 

@@ -49,16 +49,16 @@ class TestRelation:
     def test_image_and_preimage(self, free2):
         tgt = BaseSet(["x", "y"])
         r = Relation(free2.base, tgt, [("a", "x"), ("a", "y"), ("b", "x")])
-        assert r.direct_image(free2.base.subset(["a"])).sorted_members() == ["x", "y"]
-        assert r.preimage_minus(tgt.subset(["x"])).sorted_members() == ["a", "b"]
-        assert r.preimage_minus(tgt.subset([])).mask == 0
+        assert r.direct_image_mask(free2.base.mask_of(["a"])) == tgt.mask_of(["x", "y"])
+        assert r.preimage_minus_mask(tgt.mask_of(["x"])) == free2.base.mask_of(["a", "b"])
+        assert r.preimage_minus_mask(0) == 0
 
     def test_inverse_image_is_converse_direct_image(self, free2):
         tgt = BaseSet(["x", "y"])
         r = Relation(free2.base, tgt, [("a", "y"), ("b", "x")])
-        conv = r.converse()
-        for w in tgt.all_subsets():
-            assert r.preimage_minus(w) == conv.direct_image(w)
+        conv = Relation(tgt, free2.base, [(t, s) for s, t in r.pairs])
+        for w in range(1 << len(tgt)):
+            assert r.preimage_minus_mask(w) == conv.direct_image_mask(w)
 
     def test_left_total(self, free2):
         tgt = BaseSet(["x"])

@@ -166,6 +166,7 @@ class TestFixedPoints:
         table = cover.saturation_table()
         frame = cover.saturated_sets()
         assert len(frame) == 1 << n
+        assert all(m is table[m] for m in frame.masks)
         assert all(s.mask is table[s.mask] for s in frame.sets)
 
     def test_frame_of_a_given_table_keeps_its_entries(self):
@@ -174,9 +175,32 @@ class TestFixedPoints:
         given = dict(enumerate(Cover.from_axiom_names(base, axioms).saturation_table()))
         cover = cover_from_table(base, given)
         frame = cover.saturated_sets()
-        assert [s.mask for s in frame.sets] == fixed_by_scan(given.values())
-        assert max(s.mask for s in frame.sets) > 256
-        assert all(s.mask is given[s.mask] is cover.saturation_table()[s.mask] for s in frame.sets)
+        assert frame.masks == fixed_by_scan(given.values())
+        assert max(frame.masks) > 256
+        assert all(m is given[m] is cover.saturation_table()[m] for m in frame.masks)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_hasse_edge_ends_are_the_table_entries(self, n):
+        # at n <= 8 convergence builds the table, and an edge holds its ints
+        base = default_base(n)
+        axioms = [(base.elements[0], base.elements[1:3]), (base.elements[-1], base.elements[-2:-1])]
+        cover = Cover.from_axiom_names(base, axioms)
+        frame = cover.saturated_sets()
+        table = cover._table
+        edges = frame.hasse_edges()
+        assert table is not None and edges
+        assert all(u is table[u] and v is table[v] for u, v in edges)
+
+    @pytest.mark.parametrize("n", [9, 12])
+    def test_hasse_edge_ends_are_the_frame_masks_without_a_table(self, n):
+        # no table above the double cap: each upper end is still the frame's own int
+        base = default_base(n)
+        cover = Cover.from_axiom_names(base, [(base.elements[0], base.elements[1:3])])
+        frame = cover.saturated_sets()
+        edges = frame.hasse_edges()
+        own = {id(m) for m in frame.masks}
+        assert cover._table is None and edges
+        assert all(id(u) in own and id(v) in own for u, v in edges)
 
     @given(st.integers(0, 10_000), st.integers(0, 7))
     @settings(max_examples=80, deadline=None)

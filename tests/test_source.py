@@ -51,3 +51,47 @@ def test_each_cap_check_names_its_function_and_a_known_kind():
     assert {"initial_closure", "initial_interior_corrected", "initial_interior_paper"} <= named
     assert [c for c in calls if c[2] is not None and c[2] != c[1]] == []
     assert [c for c in calls if c[3] is not None and c[3] not in _DEFAULTS] == []
+
+
+def unused_imports(path):
+    """(file:line, name) for each name a module-level import binds that
+    the module never reads; an import whose first line, or the line of
+    the name itself, is marked ``# noqa`` is exempt."""
+    with open(path, encoding="utf-8") as fh:
+        source = fh.read()
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=path)
+    imports = []
+    todo = list(tree.body)
+    while todo:  # statements outside any def or class
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                imports.append(node)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            todo += [c for c in ast.iter_child_nodes(node) if isinstance(c, ast.stmt)]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
+    for node in imports:
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            marked = {lines[node.lineno - 1], lines[alias.lineno - 1]}
+            if name not in read and not any("# noqa" in line for line in marked):
+                found.append((f"{os.path.basename(path)}:{alias.lineno}", name))
+    return found
+
+
+def test_no_module_level_import_goes_unused():
+    assert [f for path in SOURCES for f in unused_imports(path)] == []
+
+
+def test_unused_imports_are_found(tmp_path):
+    source = (
+        "import os\n"
+        "import json  # noqa: F401\n"
+        "from typing import (  # noqa\n    Any,\n)\n"
+        "from sets import (\n    Subset,\n    BaseSet,\n)\n"
+        "def f(x: BaseSet):\n    import math\n    return os.sep, 'Subset'\n"
+    )
+    (tmp_path / "m.py").write_text(source, encoding="utf-8")
+    assert unused_imports(str(tmp_path / "m.py")) == [("m.py:7", "Subset")]
