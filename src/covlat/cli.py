@@ -13,6 +13,9 @@ Exit codes (stable contract); a library error carries its own code as
 Each morphism and operator action takes a fixed number of file operands
 (``MORPHISM_OPERANDS``, ``OPERATOR_OPERANDS``); a wrong count is an input
 error.  JSON reports go to stdout; human-readable summaries go to stderr.
+A report that holds a table or a frame is written in chunks of rows by the
+``fileio`` writers, after every check that can fail, so an error exit
+writes nothing to stdout.
 """
 
 from __future__ import annotations
@@ -25,12 +28,13 @@ import sys
 from .errors import BaseMismatchError, CovlatError, InputError, MorphismValidationError
 from .fileio import (
     Workspace,
-    dump_fields,
     dump_json,
-    frame_text,
     load_instance,
-    operator_text,
-    table_text,
+    nested,
+    table_chunks,
+    write_fields,
+    write_frame,
+    write_operator,
 )
 from .morphism import (  # noqa: F401 - perfbench/selftest.py reads cli.respects_covers
     Relation,
@@ -107,7 +111,7 @@ def cmd_frame(args) -> int:
             raise InputError(f"cannot write {args.dot}: {exc}") from exc
         _say(f"wrote {args.dot}")
     _say(f"{len(frame)} saturated sets")
-    print(frame_text(args.instance, frame, edges))
+    write_frame(sys.stdout, args.instance, frame, edges)
     return 0
 
 
@@ -144,7 +148,9 @@ def cmd_morphism(args) -> int:
     paths = _operands(args, MORPHISM_OPERANDS)
     ws = Workspace()
     if args.action == "compose":
-        first, second = (_morphism(ws, path) for path in paths)
+        first = _morphism(ws, paths[0])
+        # one file as both operands is validated once; compose re-verifies the composite
+        second = first if paths[1] == paths[0] else _morphism(ws, paths[1])
         result = compose(second, first)
         _emit(
             {
@@ -204,16 +210,18 @@ def cmd_operator(args) -> int:
         if closure:
             raise InputError("initial --initial-mode paper expects an interior table")
         candidate, verdict = it.initial_interior_paper(m, table)
-        report = [
-            ("mode", dump_json("paper")),
-            ("verdict", dump_json(verdict.to_json())),
-            ("table", table_text(candidate)),
-            ("pass", dump_json(verdict.passed)),
-        ]
         if not verdict.passed:
             w = verdict.witness
             _say(f"{w['axiom']} violated, witness {_jsonify(w.get('carrier', w.get('smaller')))}")
-        print(dump_fields(report))
+        write_fields(
+            sys.stdout,
+            [
+                ("mode", nested("paper")),
+                ("verdict", nested(verdict.to_json())),
+                ("table", table_chunks(candidate)),
+                ("pass", nested(verdict.passed)),
+            ],
+        )
         return 0 if verdict.passed else 1
 
     if action == "join":
@@ -227,7 +235,7 @@ def cmd_operator(args) -> int:
     else:
         raise InputError(f"{action} expects {'a closure' if action == 'reflect' else 'an interior'} table")
     label = {"join": "<combined>", "meet": "<combined>", "initial": "<initial>"}.get(action, "<derived>")
-    print(operator_text(out, label))
+    write_operator(sys.stdout, out, label)
     return 0
 
 

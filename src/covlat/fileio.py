@@ -17,14 +17,21 @@ A table, in an instance or an operator file, lists each subset on exactly
 one row.
 
 Subsets always serialize as sorted element lists.
+
+Reports that hold a whole table or frame are written, not built: the
+writers (``write_operator``, ``write_frame`` and ``write_fields`` under
+them) send ``dump_json(report) + "\n"`` to a text stream in chunks of at
+most ``CHUNK_ROWS`` list items, each made from fragments already at their
+final indent, so no copy of the whole report is ever held.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring
+from typing import Iterable, Iterator
 
 from .cover import Cover, cover_from_table
 from .errors import InputError
@@ -54,11 +61,12 @@ def _expect(data, key, kind, where):
     return value
 
 
-def _mask_table(data, base: BaseSet, where: str, shape: str) -> dict[int, int]:
-    """The ``table`` field as a map from subset masks to subset masks.
+def _mask_table(data, base: BaseSet, where: str, shape: str) -> tuple[list[int], list[int | None]]:
+    """The ``table`` field as its carriers' masks in row order, and the
+    image's mask by carrier mask, None for a carrier no row lists.
 
-    A table of 2^n rows, all pairs of sides spelled as ``table_text``
-    prints them, sorted member lists, with no carrier twice, is read in
+    A table of 2^n rows, all pairs of sides spelled as ``table_chunks``
+    writes them, sorted member lists, with no carrier twice, is read in
     one bulk pass of dict lookups.  Any other table is read row by row
     through ``BaseSet.mask_of``, which gives the same masks, and the first
     bad row in row order is the error.  A side must be a list: a string
@@ -66,19 +74,24 @@ def _mask_table(data, base: BaseSet, where: str, shape: str) -> dict[int, int]:
     makes a bad row.
     """
     rows = _expect(data, "table", list, where)
-    if len(rows) == 1 << len(base):
+    size = 1 << len(base)
+    if len(rows) == size:
         keys = base.by_sorted_members((), lambda name: (name,))
-        by_members = dict(zip(keys, range(len(keys))))
+        by_members = dict(zip(keys, range(size)))
+        order, images = [], [None] * size
         try:
             # one type pass over the sides: a row that is not a list of two
             # lists adds a side that is not a list, or fails to chain or unpack
             if set(map(type, chain.from_iterable(rows))) == {list}:
-                table = {by_members[tuple(k)]: by_members[tuple(v)] for k, v in rows}
-                if len(table) == len(rows):
-                    return table
+                for k, v in rows:
+                    key = by_members[tuple(k)]
+                    order.append(key)
+                    images[key] = by_members[tuple(v)]
+                if None not in images:  # 2^n rows fill 2^n carriers only with no carrier twice
+                    return order, images
         except (KeyError, TypeError, ValueError):  # a side spelled otherwise, a row not a pair
             pass
-    table = {}
+    order, images = [], [None] * size
     for row in rows:
         if not (isinstance(row, list) and len(row) == 2) or any(
             isinstance(side, (str, dict)) for side in row
@@ -89,11 +102,12 @@ def _mask_table(data, base: BaseSet, where: str, shape: str) -> dict[int, int]:
             value = base.mask_of(row[1])
         except Exception as exc:
             raise InputError(f"{where}: {exc}") from exc
-        if key in table:
+        if images[key] is not None:
             members = base.subset_from_mask(key).sorted_members()
             raise InputError(f"{where}: carrier {members} listed twice")
-        table[key] = value
-    return table
+        order.append(key)
+        images[key] = value
+    return order, images
 
 
 def parse_instance(data, where="instance") -> Cover:
@@ -103,9 +117,9 @@ def parse_instance(data, where="instance") -> Cover:
     except ValueError as exc:
         raise InputError(f"{where}: {exc}") from exc
     if "table" in data:
-        table = _mask_table(data, base, where, "[subset, cover-set]")
+        order, images = _mask_table(data, base, where, "[subset, cover-set]")
         try:
-            return cover_from_table(base, table)
+            return cover_from_table(base, {key: images[key] for key in order})
         except InputError as exc:
             raise InputError(f"{where}: {exc}") from exc
     axioms = data.get("axioms", [])
@@ -174,12 +188,12 @@ class Workspace:
         file_kind = data.get("kind", kind or "closure")
         if kind is not None and file_kind != kind:
             raise InputError(f"{path}: operator kind {file_kind!r} does not match requested {kind!r}")
-        mapping = _mask_table(data, cover.base, path, "[carrier, image]")
+        _, images = _mask_table(data, cover.base, path, "[carrier, image]")
         if file_kind not in ("closure", "interior"):
             raise InputError(f"{path}: unknown operator kind {file_kind!r}")
         cls = ClosureTable if file_kind == "closure" else InteriorTable
         try:
-            return cls.from_mapping(cover, mapping)
+            return cls.from_mapping(cover, images)
         except Exception as exc:
             raise InputError(f"{path}: {exc}") from exc
 
@@ -190,82 +204,114 @@ def operator_to_json(table, cover_ref: str) -> dict:
     return {"cover": cover_ref, "kind": table.kind, "table": rows}
 
 
-def table_text(table) -> str:
-    """``json.dumps(operator_to_json(table, ...)["table"], indent=2,
-    ensure_ascii=False)``, written from one fragment per subset.
+# Items of a list per write: a table-sized report reaches its stream in
+# pieces of at most this many rows and is never held as one string.
+CHUNK_ROWS = 1024
+
+
+def write_fields(out, fields) -> None:
+    """Writes ``dump_json`` of an object, then a newline, to the text stream
+    ``out``.
+
+    The object is given as ``(key, chunks)`` pairs: ``chunks`` is the value's
+    JSON text, already at the indent of a field value, in pieces that are
+    written as they come.
+    """
+    opening = "{\n  "
+    for key, chunks in fields:
+        out.write(opening + encode_basestring(key) + ": ")
+        for chunk in chunks:
+            out.write(chunk)
+        opening = ",\n  "
+    out.write("\n}\n")
+
+
+def nested(data) -> tuple[str]:
+    """``dump_json(data)`` as the one chunk of a field value.
+
+    Its lines are indented by a prefix, which is exact because an encoded
+    JSON string never holds a raw newline; meant for values a few lines long.
+    """
+    return (dump_json(data).replace("\n", "\n  "),)
+
+
+def _list_chunks(items: Iterable[str]) -> Iterator[str]:
+    """A JSON list as the chunks of a field value, from its items' text at
+    the indent of that list's items, at most ``CHUNK_ROWS`` items a chunk."""
+    items = iter(items)
+    opening = "[\n    "
+    while batch := list(islice(items, CHUNK_ROWS)):
+        yield opening + ",\n    ".join(batch)
+        opening = ",\n    "
+    yield "[]" if opening == "[\n    " else "\n  ]"
+
+
+def table_chunks(table) -> Iterator[str]:
+    """The ``table`` field of ``operator_to_json(table, ...)`` as the chunks
+    of a field value, written from one fragment per subset.
 
     A fragment is a subset's sorted member list as it stands on a row side,
-    already indented; each name is encoded once, by the function
+    already at its final indent; each name is encoded once, by the function
     ``json.dumps`` itself calls, so a row is one concatenation.
     """
     base = table.parent.base
-    items = {name: ",\n      " + encode_basestring(name) for name in base.elements}
+    items = {name: ",\n        " + encode_basestring(name) for name in base.elements}
     bodies = base.by_sorted_members("", items.__getitem__)
-    sides = ["[" + body[1:] + "\n    ]" if body else "[]" for body in bodies]
-    rows = [
-        "[\n    " + sides[m] + ",\n    " + sides[out] + "\n  ]"
+    sides = ["[" + body[1:] + "\n      ]" if body else "[]" for body in bodies]
+    return _list_chunks(
+        "[\n      " + sides[m] + ",\n      " + sides[out] + "\n    ]"
         for m, out in enumerate(table.table)
-    ]
-    return _list_text(rows)
-
-
-def frame_text(path: str, frame, edges) -> str:
-    """``dump_json`` of the ``frame`` report of ``path``: the frame's
-    saturated sets, the Hasse ``edges`` (mask pairs) between them and the
-    convergence verdict, written from one fragment per saturated set.
-
-    A fragment is a set's sorted member list, each name encoded once and
-    indented as a ``saturated`` entry; one more level of indent makes it a
-    ``hasse`` side.  Fragments are built for the frame's own sets only, so
-    an edge is one concatenation.
-    """
-    elements = frame.cover.base.elements
-    items = [
-        (1 << i, ",\n    " + encode_basestring(name))
-        for name, i in sorted((name, i) for i, name in enumerate(elements))
-    ]
-    entries = {}
-    for mask in frame.masks:
-        body = "".join(text for bit, text in items if mask & bit)
-        entries[mask] = "[" + body[1:] + "\n  ]" if body else "[]"
-    sides = {mask: entry.replace("\n", "\n  ") for mask, entry in entries.items()}
-    hasse = ["[\n    " + sides[lo] + ",\n    " + sides[hi] + "\n  ]" for lo, hi in edges]
-    convergent = frame.convergent.to_json() if frame.convergent is not None else None
-    return dump_fields(
-        [
-            ("file", encode_basestring(path)),
-            ("saturated", _list_text(list(entries.values()))),
-            ("hasse", _list_text(hasse)),
-            ("convergent", dump_json(convergent)),
-        ]
     )
 
 
-def _list_text(items: list[str]) -> str:
-    """A JSON list as text at depth 0, from its items' text at depth 1."""
-    return "[\n  " + ",\n  ".join(items) + "\n]" if items else "[]"
-
-
-def dump_fields(fields) -> str:
-    """``dump_json`` of an object given as ``(key, value text)`` pairs, each
-    value already JSON text at depth 0.
-
-    A value is indented one level by prefixing each of its lines, which is
-    exact because an encoded JSON string never holds a raw newline.
-    """
-    return "{\n" + ",\n".join(
-        "  " + encode_basestring(key) + ": " + text.replace("\n", "\n  ") for key, text in fields
-    ) + "\n}"
-
-
-def operator_text(table, cover_ref: str) -> str:
-    """``dump_json(operator_to_json(table, cover_ref))``, without walking the rows."""
-    return dump_fields(
+def write_operator(out, table, cover_ref: str) -> None:
+    """Writes ``dump_json(operator_to_json(table, cover_ref))`` and a newline
+    to ``out``, without walking the rows."""
+    write_fields(
+        out,
         [
-            ("cover", encode_basestring(cover_ref)),
-            ("kind", encode_basestring(table.kind)),
-            ("table", table_text(table)),
-        ]
+            ("cover", (encode_basestring(cover_ref),)),
+            ("kind", (encode_basestring(table.kind),)),
+            ("table", table_chunks(table)),
+        ],
+    )
+
+
+def write_frame(out, path: str, frame, edges) -> None:
+    """Writes ``dump_json`` of the ``frame`` report of ``path``, and a
+    newline, to ``out``: the frame's saturated sets, the Hasse ``edges``
+    (mask pairs) between them and the convergence verdict, from one pair of
+    fragments per saturated set.
+
+    The fragments are a set's sorted member list, each name encoded once,
+    at the indent of a ``saturated`` entry and at that of a ``hasse`` side.
+    They are built for the frame's own sets only, and before the first
+    write, so an edge is one concatenation.
+    """
+    elements = frame.cover.base.elements
+    items = [
+        (1 << i, encode_basestring(name))
+        for name, i in sorted((name, i) for i, name in enumerate(elements))
+    ]
+    entries, sides = [], {}
+    for mask in frame.masks:
+        names = [text for bit, text in items if mask & bit]
+        if names:
+            entries.append("[\n      " + ",\n      ".join(names) + "\n    ]")
+            sides[mask] = "[\n        " + ",\n        ".join(names) + "\n      ]"
+        else:
+            entries.append("[]")
+            sides[mask] = "[]"
+    hasse = ("[\n      " + sides[lo] + ",\n      " + sides[hi] + "\n    ]" for lo, hi in edges)
+    convergent = frame.convergent.to_json() if frame.convergent is not None else None
+    write_fields(
+        out,
+        [
+            ("file", (encode_basestring(path),)),
+            ("saturated", _list_chunks(entries)),
+            ("hasse", _list_chunks(hasse)),
+            ("convergent", nested(convergent)),
+        ],
     )
 
 

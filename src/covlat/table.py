@@ -10,7 +10,7 @@ would report a different least witness.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .cover import Cover
 from .errors import ContinuityPreconditionError, InputError, MixedParentError, PartialTableError
@@ -42,11 +42,23 @@ class OperatorTable:
         self.table = entries
 
     @classmethod
-    def from_mapping(cls, parent: Cover, mapping: Mapping[int, int]):
+    def from_mapping(cls, parent: Cover, mapping: Mapping[int, int] | Sequence[int | None]):
+        """The table with image ``mapping[m]`` at each carrier mask m.
+
+        ``mapping`` has one key per carrier, each carrier's mask: a dict, or
+        a list by mask.  A key it lacks, or a None image, leaves the
+        table partial.
+        """
         size = 1 << len(parent.base)
-        if set(mapping) != set(range(size)):
-            raise PartialTableError("operator table must map every carrier exactly once")
-        return cls(parent, map(mapping.__getitem__, range(size)))
+        if len(mapping) == size:
+            try:
+                entries = list(map(mapping.__getitem__, range(size)))
+            except KeyError:  # a key out of range stands where a carrier's should
+                pass
+            else:
+                if None not in entries:
+                    return cls(parent, entries)
+        raise PartialTableError("operator table must map every carrier exactly once")
 
     def __eq__(self, other) -> bool:
         return (

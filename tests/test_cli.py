@@ -21,10 +21,16 @@ from covlat import (
     parse_instance,
 )
 from covlat import cli, errors
+from covlat.morphism import ValidatedMorphism
 from covlat.sets import Subset
 from covlat.cli import build_parser, main
-from covlat.fileio import operator_text, operator_to_json
+from covlat.fileio import operator_to_json
 from conftest import DATA, cli_env, data_path, golden, run_cli
+
+
+def operator_report(table, cover_ref):
+    """The text of an operator report: ``dump_json`` of its dict form."""
+    return dump_json(operator_to_json(table, cover_ref))
 
 
 class TestLauncher:
@@ -58,8 +64,8 @@ class TestLauncher:
         assert proc.stdout.splitlines() == ["False", "False", "covlat.oracle", "False"]
 
     def test_compose_scans_the_minimal_covers_of_its_cover_once(self, monkeypatch, capsys):
-        # both operands and the composite run on free2.json: three
-        # respects_covers calls, one scan
+        # the operand, validated once for both places, and the composite run
+        # on free2.json: two respects_covers calls, one scan
         monkeypatch.chdir(DATA)
         calls, scans = [], []
         minimal_covers = Cover.minimal_covers
@@ -72,9 +78,29 @@ class TestLauncher:
 
         monkeypatch.setattr(Cover, "minimal_covers", counted)
         assert main(["morphism", "compose", "id2.json", "id2.json"]) == 0
-        assert len(calls) == 3 and len(scans) == 1
+        assert len(calls) == 2 and len(scans) == 1
         monkeypatch.undo()
         assert capsys.readouterr().out == run_cli("morphism", "compose", "id2.json", "id2.json").stdout
+
+    @pytest.mark.parametrize(
+        "files,builds", [(["id2.json", "id2.json"], 2), (["id2.json", "collapse.json"], 3)]
+    )
+    def test_compose_validates_one_file_once(self, monkeypatch, capsys, files, builds):
+        # the same file as both operands is validated once, two files once
+        # each; the composite is always validated again
+        monkeypatch.chdir(DATA)
+        calls = []
+        build = ValidatedMorphism.build.__func__
+
+        def counted(cls, *args):
+            calls.append(args)
+            return build(cls, *args)
+
+        monkeypatch.setattr(ValidatedMorphism, "build", classmethod(counted))
+        assert main(["morphism", "compose", *files]) == 0
+        assert len(calls) == builds
+        monkeypatch.undo()
+        assert capsys.readouterr().out == run_cli("morphism", "compose", *files).stdout
 
     def test_main_calls_in_one_process_match_fresh_children(self, monkeypatch):
         # the parser is built once per process and shared by every call,
@@ -203,6 +229,70 @@ class TestGoldenFiles:
         proc = run_cli("check", "m3.json")
         assert "'element': 'a'" in proc.stderr
         assert "['b', 'c']" in proc.stderr
+
+
+class TestStreamedReports:
+    """Table and frame reports go to stdout in chunks of rows."""
+
+    @pytest.mark.parametrize(
+        "args,golden_name",
+        [
+            (["frame", "chain.json"], "frame_chain.json"),
+            (["frame", "m3.json"], "frame_m3.json"),
+            (["operator", "join", "trivial_closure_free2.json", "trivial_closure_free2.json"],
+             "operator_join_trivial_closure_free2.json"),
+            (["operator", "reflect", "closure_unsorted4.json"], "operator_reflect_closure_unsorted4.json"),
+            (["operator", "initial", "collapse.json", "discrete_interior_one.json", "--kind", "interior",
+              "--initial-mode", "paper"], "operator_initial_paper_collapse_discrete_interior_one.json"),
+        ],
+        ids=["frame-chain", "frame-m3", "join", "reflect-unsorted-base", "initial-paper"],
+    )
+    def test_unbuffered_child_writes_the_same_bytes(self, args, golden_name):
+        # each write reaches the pipe at once under PYTHONUNBUFFERED
+        env = cli_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        argv = [sys.executable, "-m", "covlat.cli", *args]
+        buffered = subprocess.run(argv, cwd=DATA, env=env, capture_output=True)
+        unbuffered = subprocess.run(
+            argv, cwd=DATA, env={**env, "PYTHONUNBUFFERED": "1"}, capture_output=True
+        )
+        assert buffered.stdout == golden(golden_name).encode("utf-8")
+        assert (unbuffered.returncode, unbuffered.stdout, unbuffered.stderr) == (
+            buffered.returncode,
+            buffered.stdout,
+            buffered.stderr,
+        )
+
+    def test_free16_frame_peak_rss(self, tmp_path):
+        """`frame` on the free 16-element cover writes its 150,929,396-byte
+        report with a peak RSS under 250 MB (holding the report whole took
+        about 635 MB; chunked, about 100 MB on CPython 3.11, x86-64 Linux).
+
+        A wrapper child starts the covlat child, so RUSAGE_CHILDREN counts
+        that child alone, not the other children of the test run.  Linux
+        gives ``ru_maxrss`` in KiB.
+        """
+        names = [f"e{i}" for i in range(16)]
+        (tmp_path / "free16.json").write_text(json.dumps({"base": names, "axioms": []}))
+        wrapper = (
+            "import hashlib, resource, subprocess, sys\n"
+            "proc = subprocess.Popen([sys.executable, '-m', 'covlat.cli', 'frame', 'free16.json'],\n"
+            "                        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)\n"
+            "digest, size = hashlib.sha256(), 0\n"
+            "for chunk in iter(lambda: proc.stdout.read(1 << 20), b''):\n"
+            "    digest.update(chunk)\n"
+            "    size += len(chunk)\n"
+            "code = proc.wait()\n"
+            "print(code, size, digest.hexdigest(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", wrapper], cwd=tmp_path, env=cli_env(), capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, size, digest, max_rss_kib = proc.stdout.split()
+        assert (code, size) == ("0", "150929396")
+        assert digest == "fc9db683e89054cdc97c2353623a4318475b8ae38f36c209236ec6b16d1ffe98"
+        assert int(max_rss_kib) < 250 * 1024
 
 
 def _docstring_exit_codes():
@@ -853,11 +943,11 @@ class TestOperatorCommands:
                 "join": cl.join_closures if closure else it.join_interiors,
                 "meet": cl.meet_closures if closure else it.meet_interiors,
             }[action]
-            out = operator_text(lib([first, second]), "<combined>")
+            out = operator_report(lib([first, second]), "<combined>")
         elif action == "initial":
-            out = operator_text((cl.initial_closure if closure else it.initial_interior_corrected)(m, first), "<initial>")
+            out = operator_report((cl.initial_closure if closure else it.initial_interior_corrected)(m, first), "<initial>")
         elif closure == (action == "reflect"):
-            out = operator_text((cl.reflection if closure else it.coreflection)(first), "<derived>")
+            out = operator_report((cl.reflection if closure else it.coreflection)(first), "<derived>")
         else:
             exit_code, error = 2, f"{action} expects {'a closure' if action == 'reflect' else 'an interior'} table"
         assert proc.returncode == exit_code, proc.stderr

@@ -75,6 +75,24 @@ class TestAxioms:
         with pytest.raises(PartialTableError):
             ClosureTable.from_mapping(free2, {0: 0, 1: 1, 2: 2})
 
+    @pytest.mark.parametrize(
+        "mapping",
+        [
+            {0: 0, 1: 1, 2: 2, 4: 3},  # the right length, one key out of range
+            {0: 0, 1: 1, 2: 2, 3: 3, 4: 3},  # every carrier and one key more
+            [0, 1, None, 3],  # a list by mask, one carrier without an image
+        ],
+        ids=["key-out-of-range", "extra-key", "list-with-hole"],
+    )
+    def test_from_mapping_rejects_a_partial_mapping(self, free2, mapping):
+        with pytest.raises(PartialTableError, match="^operator table must map every carrier exactly once$"):
+            ClosureTable.from_mapping(free2, mapping)
+
+    def test_from_mapping_reads_a_dict_or_a_list(self, free2):
+        table = [1, 1, 3, 3]
+        assert ClosureTable.from_mapping(free2, dict(zip(range(3, -1, -1), table[::-1]))).table == (1, 1, 3, 3)
+        assert ClosureTable.from_mapping(free2, table).table == (1, 1, 3, 3)
+
 
 class TestLattice:
     def test_size_two_enumeration(self, free2):

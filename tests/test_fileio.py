@@ -1,5 +1,6 @@
 """The operator-table and frame writers against ``json.dumps(indent=2)`` of
-the dict form, on shuffled bases whose names need every kind of JSON escape."""
+the dict form, on shuffled bases whose names need every kind of JSON escape,
+and the bounded chunks they write."""
 
 import contextlib
 import io
@@ -24,13 +25,15 @@ from covlat import (
     verify_interior_axioms,
 )
 from covlat.cli import main
+from covlat import fileio
 from covlat.fileio import (
     dump_json,
-    frame_text,
     load_instance,
-    operator_text,
     operator_to_json,
-    table_text,
+    table_chunks,
+    write_fields,
+    write_frame,
+    write_operator,
 )
 from covlat.oracle import random_interior_table
 from conftest import data_path
@@ -78,10 +81,17 @@ def frame_report(path, frame, edges):
     }
 
 
+def written(writer, *args):
+    """What ``writer(stream, *args)`` writes to a fresh StringIO."""
+    out = io.StringIO()
+    writer(out, *args)
+    return out.getvalue()
+
+
 def assert_frame_text_matches(path, cover):
     frame = cover.saturated_sets()
     edges = frame.hasse_edges()
-    assert frame_text(path, frame, edges) == dump_json(frame_report(path, frame, edges))
+    assert written(write_frame, path, frame, edges) == dump_json(frame_report(path, frame, edges)) + "\n"
 
 
 @given(st.integers(0, 10_000), st.integers(0, 7))
@@ -125,7 +135,8 @@ def test_table_text_matches_dump_of_rows(seed, size):
     rng = random.Random(seed)
     t = random_table(rng, Cover(shuffled_base(rng, size)))
     rows = operator_to_json(t, "x")["table"]
-    assert table_text(t) == json.dumps(rows, indent=2, ensure_ascii=False)
+    text = written(write_fields, [("table", table_chunks(t))])
+    assert text == json.dumps({"table": rows}, indent=2, ensure_ascii=False) + "\n"
 
 
 @given(st.integers(0, 10_000), st.integers(0, 8))
@@ -134,7 +145,7 @@ def test_operator_text_matches_dump_json(seed, size):
     rng = random.Random(seed)
     t = random_table(rng, Cover(shuffled_base(rng, size)))
     ref = "".join(rng.sample(NAMES, 3))
-    assert operator_text(t, ref) == dump_json(operator_to_json(t, ref))
+    assert written(write_operator, t, ref) == dump_json(operator_to_json(t, ref)) + "\n"
 
 
 @given(st.integers(0, 10_000), st.integers(0, 6))
@@ -176,3 +187,70 @@ def test_cli_reports_match_dump_json(seed, size):
         "pass": verdict.passed,
     }
     assert paper_out == (0 if verdict.passed else 1, dump_json(report) + "\n")
+
+
+class RecordingStream(io.StringIO):
+    """A text stream that keeps each ``write`` it is given."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def items_begun(text):
+    """The list items at the depth of a report field's list items that
+    ``text`` begins: each begins on a new line, four spaces in, with ``[``.
+    Deeper items are indented further, and an encoded name holds no raw
+    newline."""
+    return text.count("\n    [")
+
+
+def test_chunked_operator_writes():
+    """A 12-element table (4,096 rows) goes out in pieces of at most
+    ``CHUNK_ROWS`` rows that join to ``dump_json`` of the dict form."""
+    rng = random.Random(12)
+    t = random_table(rng, Cover(BaseSet([f"e{i}" for i in range(12)])))
+    out = RecordingStream()
+    write_operator(out, t, "t.json")
+    assert "".join(out.writes) == dump_json(operator_to_json(t, "t.json")) + "\n"
+    assert max(map(items_begun, out.writes)) == fileio.CHUNK_ROWS < 4096
+    assert sum(map(items_begun, out.writes)) == 4096
+
+
+def test_chunked_frame_writes():
+    """A frame of 4,096 sets (the free 12-element cover, 24,576 edges)."""
+    cover = Cover(BaseSet([f"e{i}" for i in range(12)]))
+    frame = cover.saturated_sets()
+    edges = frame.hasse_edges()
+    assert len(frame) == 4096
+    out = RecordingStream()
+    write_frame(out, "free12.json", frame, edges)
+    assert "".join(out.writes) == dump_json(frame_report("free12.json", frame, edges)) + "\n"
+    assert max(map(items_begun, out.writes)) == fileio.CHUNK_ROWS
+    assert sum(map(items_begun, out.writes)) == len(frame) + len(edges)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("size", [0, 1, 3])
+def test_small_chunks_keep_the_bytes(monkeypatch, chunk, size):
+    """Chunks that split every list, including one of a single item and
+    the empty ``hasse`` list of the one-set frame."""
+    monkeypatch.setattr(fileio, "CHUNK_ROWS", chunk)
+    rng = random.Random(size)
+    base = shuffled_base(rng, size)
+    t = random_table(rng, Cover(base))
+    out = RecordingStream()
+    write_operator(out, t, "t.json")
+    assert "".join(out.writes) == dump_json(operator_to_json(t, "t.json")) + "\n"
+    assert max(map(items_begun, out.writes)) <= chunk
+    cover = Cover.from_axiom_names(base, [(base.elements[0], [])] if size else [])
+    frame = cover.saturated_sets()
+    edges = frame.hasse_edges()
+    out = RecordingStream()
+    write_frame(out, "f.json", frame, edges)
+    assert "".join(out.writes) == dump_json(frame_report("f.json", frame, edges)) + "\n"
+    assert max(map(items_begun, out.writes)) <= chunk
