@@ -18,6 +18,15 @@ one row.
 
 Subsets always serialize as sorted element lists.
 
+Readers (``load_instance``, ``Workspace.relation_file`` and
+``Workspace.operator_file``) decode a file and convert it to covlat objects
+with the cyclic garbage collector paused (``_read``).  The decoded document
+is lists, dicts, strings and ints, acyclic and freed by reference counting
+before the reader returns, so the collections its rows would start only
+walk and promote rows about to die: the pause skips that work rather than
+moving it.  A cycle other code makes during the pause is collected at the
+first collection after it.
+
 Reports that hold a whole table or frame are written, not built: the
 writers (``write_operator``, ``write_frame`` and ``write_fields`` under
 them) send ``dump_json(report) + "\n"`` to a text stream in chunks of at
@@ -27,6 +36,7 @@ final indent, so no copy of the whole report is ever held.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 from itertools import chain, islice
@@ -40,7 +50,13 @@ from .sets import BaseSet
 
 def _load_json(path: str):
     try:
-        with open(path, encoding="utf-8") as fh:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # a NUL, or a character the file system cannot encode
+        raise InputError(f"cannot read {path!r}: not a file name: {exc}") from exc
+    try:
+        with fh:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
@@ -143,8 +159,24 @@ def instance_to_json(cover: Cover) -> dict:
     }
 
 
+def _read(path: str, convert, *args):
+    """``convert(document, *args)`` of the JSON document at ``path``, with
+    the cyclic garbage collector paused for the decode and the conversion.
+
+    The collector's earlier state is restored, so a nested read, or a
+    caller that had already paused it, finds it as it was.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return convert(_load_json(path), *args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_instance(path: str) -> Cover:
-    return parse_instance(_load_json(path), where=path)
+    return _read(path, parse_instance, path)
 
 
 class Workspace:
@@ -168,7 +200,9 @@ class Workspace:
 
     def relation_file(self, path: str):
         """Returns (relation pairs, source cover, target cover)."""
-        data = _load_json(path)
+        return _read(path, self._relation, path)
+
+    def _relation(self, data, path: str):
         src = self.cover(_expect(data, "source", str, path), relative_to=path)
         tgt = self.cover(_expect(data, "target", str, path), relative_to=path)
         rows = _expect(data, "pairs", list, path)
@@ -181,9 +215,11 @@ class Workspace:
 
     def operator_file(self, path: str, kind: str | None = None):
         """Returns a ClosureTable or InteriorTable per the file's kind."""
+        return _read(path, self._operator, path, kind)
+
+    def _operator(self, data, path: str, kind: str | None):
         from .table import ClosureTable, InteriorTable  # only operator files need tables
 
-        data = _load_json(path)
         cover = self.cover(_expect(data, "cover", str, path), relative_to=path)
         file_kind = data.get("kind", kind or "closure")
         if kind is not None and file_kind != kind:

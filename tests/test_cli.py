@@ -404,6 +404,30 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: in.json: " + message)
         assert len(proc.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("reference", ["a\u0000b.json", "\ud800.json"], ids=["nul", "surrogate"])
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (["morphism", "verify", "ref.json"], "source"),
+            (["morphism", "verify", "ref.json"], "target"),
+            (["operator", "verify", "ref.json"], "cover"),
+        ],
+        ids=["source", "target", "cover"],
+    )
+    def test_bad_file_reference_is_one_line_input_error(self, tmp_path, args, field, reference):
+        # open() refuses such a name with ValueError, not OSError
+        data = {"source": "free2.json", "target": "free2.json", "pairs": []}
+        if field == "cover":
+            data = {"cover": "free2.json", "kind": "closure", "table": []}
+        data[field] = reference
+        (tmp_path / "ref.json").write_text(json.dumps(data))
+        (tmp_path / "free2.json").write_text(json.dumps({"base": ["a", "b"], "axioms": []}))
+        proc = run_cli(*args, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: cannot read {reference!r}: not a file name: ")
+        assert len(proc.stderr.splitlines()) == 1
+
     def test_unwritable_dot_path_is_two(self, tmp_path):
         target = tmp_path / "missing" / "g.dot"
         proc = run_cli("frame", "chain.json", "--dot", str(target))
