@@ -12,7 +12,8 @@ Exit codes (stable contract); a library error carries its own code as
 
 Each morphism and operator action takes a fixed number of file operands
 (``MORPHISM_OPERANDS``, ``OPERATOR_OPERANDS``); a wrong count is an input
-error.  JSON reports go to stdout; human-readable summaries go to stderr.
+error.  JSON reports go to stdout; human-readable summaries go to stderr,
+and an error exit prints one ``error:`` line there, its line breaks escaped.
 A report that holds a table or a frame is written in chunks of rows by the
 ``fileio`` writers, after every check that can fail, so an error exit
 writes nothing to stdout.
@@ -44,6 +45,11 @@ from .morphism import (  # noqa: F401 - perfbench/selftest.py reads cli.respects
     respects_covers,
 )
 from .verdict import _jsonify
+
+
+# every character str.splitlines breaks at, as its escape: an error message
+# naming a file reference with a line break in it still prints as one line
+_ONE_LINE = str.maketrans({c: ascii(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
 
 
 def _say(msg: str) -> None:
@@ -305,7 +311,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except CovlatError as exc:
-        _say(f"error: {exc}")
+        _say("error: " + str(exc).translate(_ONE_LINE))
         return exc.exit_code
 
 

@@ -74,7 +74,8 @@ class Cover:
     closure operator on the powerset of the base.  Axioms are split by
     premise size when the cover is built: ``x ◁ {y}`` goes into
     ``_up[y]``, what y forces, closed transitively (Warshall), and only
-    premises of two or more elements keep watcher lists.
+    premises of two or more elements keep watcher lists.  An element in
+    no premise (``_premise_free``) adds only itself to a saturated set.
     """
 
     def __init__(
@@ -90,7 +91,7 @@ class Cover:
         self._cache: dict[int, int] = {}
         self._singletons: list[int] | None = None
         self._minimal: list[list[int]] | None = None
-        self._inert = 0
+        self._inert = self._premise_free = 0
         self._given = self._table = None
         if table is not None:
             if axioms is not None:
@@ -125,6 +126,8 @@ class Cover:
         # elements whose closure meets no wide premise: adding one to a
         # saturated set adds its closure and fires nothing
         self._inert = sum(1 << x for x, u in enumerate(up) if not u & watched)
+        # elements in no premise: adding one to a saturated set adds it alone
+        self._premise_free = sum(1 << x for x, u in enumerate(up) if u == 1 << x and not watchers[x])
 
     @classmethod
     def from_axiom_names(
@@ -230,7 +233,12 @@ class Cover:
         holding k; as sat(v + k) = sat(sat(v) + k), F ends as the image of
         sat, with at most n * |F| chains.  An inert k whose closure meets
         no set found so far gives distinct new sets s | up[k]; any other
-        step drops repeats through a set of its new sets only.
+        step drops repeats through a set of its new sets only, and sorts
+        them.  The sets found so far all lie in ``top``, so a step whose
+        new sets all exceed ``top`` puts them above every earlier set: an
+        inert step does when up[k] > top, since s -> s | up[k] is
+        increasing on the sets disjoint from up[k].  When every step that
+        added sets did so, F is already in mask order and is not sorted.
         """
         if self._table is not None:
             return fixed_points(self._table)
@@ -238,17 +246,24 @@ class Cover:
         require_cap("frame_masks", n, "single")
         frame = [self.saturate_mask(0)]
         top = frame[0]  # sat of the elements so far, holding every set found
+        ordered = True
         for k in range(n):
             bit = 1 << k
-            if bit & self._inert and not self._up[k] & top:
+            up = self._up[k]
+            if bit & self._inert and not up & top:
                 new = self._add_bit(k, frame)
-                top |= self._up[k]
+                ordered = ordered and up > top
+                top |= up
             else:
                 new = set(self._add_bit(k, [s for s in frame if not s & bit]))
                 new.difference_update(frame)
-                top |= max(new, default=0)
+                if new:
+                    new = sorted(new)
+                    ordered = ordered and new[0] > top
+                    top |= new[-1]
             frame += new
-        frame.sort()
+        if not ordered:
+            frame.sort()
         return frame
 
     # -- meets via the down-set ----------------------------------------------
@@ -403,24 +418,39 @@ class FrameOfSaturated:
 
         Every saturated v strictly above u contains some x outside u, and
         so contains sat(u + x); the upper covers of u are therefore the
-        minimal sets among those n saturations, from n bulk passes of
-        ``Cover._add_bit`` over the frame, which build no table.  Such a
-        v = sat(u + x) is minimal exactly when sat(u + y) = v for every y
-        in v - u (a y giving a smaller set would put it between u and v),
-        that is when (v - u).bit_count() of the x outside u give v: a
-        count, not a scan of the other saturations.  Edges come in (u, v)
-        mask order, as in ``oracle.hasse_edges_full``.
+        minimal sets among those n saturations.  An element k in no
+        premise fires nothing, so sat(u + k) = u + k for every saturated
+        u, one element above u: (u, u + k) is an edge, and no other
+        element's saturation equals u + k.  These edges are read without
+        a column.  For every other element x, one bulk pass of
+        ``Cover._add_bit`` over the frame, which builds no table, gives
+        sat(u + x) for every u; such a v = sat(u + x) is minimal exactly
+        when sat(u + y) = v for every y in v - u (a y giving a smaller set
+        would put it between u and v), that is when (v - u).bit_count()
+        of those x give v: a count, not a scan of the other saturations.
+        A v holding an element in no premise fails the count, since that
+        element gives its own edge.  Each part comes in (u, v) mask
+        order, as in ``oracle.hasse_edges_full``, and one sort merges the
+        two.  A cover given by its table has no element known to be in no
+        premise: every element has a column.
         """
         cover = self.cover
         masks = self.masks
         own = dict(zip(masks, masks))  # a computed saturation -> the frame's equal int
-        columns = [cover._add_bit(k, masks) for k in range(len(cover.base))]
-        edges = []
-        for u, row in zip(masks, zip(*columns)):
-            ups = [v for v in row if v != u]  # sat(u + x) = u for x in u
-            for v in sorted(set(ups)):
-                if ups.count(v) == (v ^ u).bit_count():
-                    edges.append((u, own[v]))
+        no_premise = cover._premise_free
+        n = len(cover.base)
+        free = [1 << k for k in range(n) if no_premise >> k & 1]
+        edges = [(u, own[u | b]) for u in masks for b in free if not u & b]
+        columns = [cover._add_bit(k, masks) for k in range(n) if not no_premise >> k & 1]
+        if columns:
+            edges += [
+                (u, own[v])
+                for u, row in zip(masks, zip(*columns))
+                for v in sorted(set(row))
+                if v != u and row.count(v) == (v ^ u).bit_count()  # sat(u + x) = u for x in u
+            ]
+            if free:
+                edges.sort()  # merges the two runs, each in (u, v) order
         return edges
 
 

@@ -64,6 +64,8 @@ def _load_json(path: str):
         raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except ValueError as exc:  # CPython 3.11+: an integer literal of more than 4,300 digits
+        raise InputError(f"{path}: cannot decode JSON: {exc}") from exc
     except RecursionError as exc:
         raise InputError(f"{path}: JSON nested too deeply") from exc
 

@@ -428,6 +428,31 @@ class TestExitCodes:
         assert proc.stderr.startswith(f"error: cannot read {reference!r}: not a file name: ")
         assert len(proc.stderr.splitlines()) == 1
 
+    def test_over_long_integer_is_one_line_input_error(self, tmp_path):
+        # CPython 3.11+ refuses to decode an integer literal of more than
+        # 4,300 digits with a plain ValueError; on 3.10 it decodes, and the
+        # base refuses a non-string element, also with exit 2
+        (tmp_path / "in.json").write_text('{"base": [' + "7" * 5000 + '], "axioms": []}')
+        proc = run_cli("check", "in.json", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.splitlines()) == 1
+        if sys.version_info >= (3, 11):
+            assert proc.stderr.startswith("error: in.json: cannot decode JSON: ")
+
+    @pytest.mark.parametrize("reference", ["a\nb.json", "a\rb.json", "a\u2028b.json"], ids=["lf", "cr", "ls"])
+    def test_line_break_in_reference_is_escaped(self, tmp_path, reference):
+        # the message names the path; its line break prints as an escape
+        data = {"cover": reference, "kind": "closure", "table": []}
+        (tmp_path / "ref.json").write_text(json.dumps(data))
+        proc = run_cli("operator", "verify", "ref.json", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        escaped = reference.encode("unicode_escape").decode("ascii")
+        assert proc.stderr.startswith(f"error: cannot read {escaped}: ")
+        assert len(proc.stderr.splitlines()) == 1
+
     def test_unwritable_dot_path_is_two(self, tmp_path):
         target = tmp_path / "missing" / "g.dot"
         proc = run_cli("frame", "chain.json", "--dot", str(target))

@@ -520,6 +520,143 @@ class TestFrameWithoutTable:
         assert induced == induced_cover_scan(c, full, carrier)
 
 
+@st.composite
+def premise_free_covers(draw, max_size=7, min_size=1):
+    """Covers with elements drawn to occur in no premise, beside one-element
+    axioms, wide premises and empty-premise facts among the others.  Heads
+    are drawn from the whole base, so a head may occur in no premise."""
+    size = draw(st.integers(min_size, max_size))
+    names = default_base(size).elements
+    bare = draw(st.sets(st.sampled_from(names), max_size=size))
+    rest = [x for x in names if x not in bare]
+    pairs = []
+    for _ in range(draw(st.integers(0, 2 * len(rest)))):
+        kind = draw(st.sampled_from(["empty", "one", "wide"][: 2 + (len(rest) > 1)]))
+        if kind == "empty":
+            body = set()
+        elif kind == "one":
+            body = {draw(st.sampled_from(rest))}
+        else:
+            body = draw(st.sets(st.sampled_from(rest), min_size=2, max_size=3))
+        pairs.append((draw(st.sampled_from(names)), sorted(body)))
+    return Cover.from_axiom_names(default_base(size), pairs)
+
+
+def upper_covers_by_table(full, closed):
+    """Hasse edges of the frame from the 2^n table: for each saturated u,
+    the minimal sets among sat(u + x), x outside u, in (u, v) mask order."""
+    n = len(full).bit_length() - 1
+    edges = []
+    for u in closed:
+        ups = {full[u | 1 << x] for x in range(n) if not u >> x & 1}
+        edges += [(u, v) for v in sorted(ups) if not any(w != v and w & ~v == 0 for w in ups)]
+    return edges
+
+
+def assert_premise_free_edges(c):
+    """Every element `_premise_free` names adds itself alone to every
+    saturated set, the frame is the table's fixed points, and its Hasse
+    edges are the full scan's (on at most 64 sets) and the table's, each
+    end one of the frame's own ints."""
+    n = len(c.base)
+    full = saturation_table_full(c)
+    closed = [m for m in range(1 << n) if full[m] == m]
+    for k in range(n):
+        if c._premise_free >> k & 1:
+            assert all(full[u | 1 << k] == u | 1 << k for u in closed)
+    fr = c.saturated_sets()
+    assert fr.masks == closed
+    edges = fr.hasse_edges()
+    if len(closed) <= 64:
+        assert edges == hasse_edges_full(fr)
+    assert edges == upper_covers_by_table(full, closed)
+    own = {id(m) for m in fr.masks}
+    assert all(id(u) in own and id(v) in own for u, v in edges)
+    return edges
+
+
+class TestPremiseFreeElements:
+    """`hasse_edges` reads the edge u -> u + k of an element k in no
+    premise without a column, and `frame_masks` skips its sort when the
+    doubling already ordered the frame."""
+
+    @given(premise_free_covers())
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_covers(self, c):
+        assert_premise_free_edges(c)
+
+    @given(premise_free_covers(max_size=12, min_size=9))
+    @settings(max_examples=20, deadline=None)
+    def test_covers_above_the_double_cap(self, c):
+        # no convergence, so no table: the columns are chains or passes
+        assert_premise_free_edges(c)
+        assert c._table is None
+
+    def test_head_in_no_premise(self):
+        # e0 and e3 are heads in no premise, e4 is in no axiom; e1 and e2 are premises
+        base = default_base(5)
+        e = base.elements
+        c = Cover.from_axiom_names(base, [(e[0], [e[1], e[2]]), (e[3], [e[1]])])
+        assert c._premise_free == 0b11001
+        edges = assert_premise_free_edges(c)
+        # sat({e1}) = {e1, e3} lies one step above {e3}, not above the empty set
+        assert (0b01000, 0b01010) in edges
+        assert (0b00000, 0b01010) not in edges
+        # from {e1, e3}, e2 fires e0, so the edge to {e0, e1, e3} lies below
+        assert (0b01010, 0b01011) in edges
+        assert (0b01010, 0b01111) not in edges
+
+    @given(premise_free_covers(max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_given_table_covers(self, c):
+        # a table names no premises: every element keeps its column
+        given = cover_from_table(c.base, dict(enumerate(saturation_table_full(c))))
+        assert given._premise_free == 0
+        fr = given.saturated_sets()
+        assert fr.hasse_edges() == hasse_edges_full(fr) == c.saturated_sets().hasse_edges()
+        table = given.saturation_table()
+        assert all(u is table[u] and v is table[v] for u, v in fr.hasse_edges())
+
+    @pytest.mark.parametrize(
+        "axioms, frame",
+        [
+            # e2 <| {e0}: doubling gives [0, 5] at e0 and the inert e1 adds
+            # [2, 7] below 5, so the frame must be sorted
+            ([(2, 0)], [0b000, 0b010, 0b100, 0b101, 0b110, 0b111]),
+            # e1 <| {e3}: e3's step adds 10 and 11 above 3, the top so far
+            ([(1, 3)], [m for m in range(16) if not m >> 3 & 1 or m >> 1 & 1]),
+        ],
+        ids=["inert-step-below-top", "ordered"],
+    )
+    def test_frame_in_mask_order(self, axioms, frame):
+        n = frame[-1].bit_length()
+        base = default_base(n)
+        c = Cover.from_axiom_names(base, [(base.elements[h], [base.elements[p]]) for h, p in axioms])
+        assert c.frame_masks() == frame
+        assert frame == [m for m, s in enumerate(saturation_table_full(c)) if s == m]
+
+    @pytest.mark.parametrize("size", [6, 10])
+    @pytest.mark.parametrize("axioms, calls", [([], 0), ([(0, [1])], 1)], ids=["free", "near-free"])
+    def test_columns_only_for_elements_in_a_premise(self, monkeypatch, size, axioms, calls):
+        # one _add_bit pass per element in a premise, none for the others
+        base = default_base(size)
+        e = base.elements
+        c = Cover.from_axiom_names(base, [(e[h], [e[x] for x in body]) for h, body in axioms])
+        fr = c.saturated_sets()
+        passes = []
+        add_bit = Cover._add_bit
+
+        def counted(self, k, sets):
+            passes.append(k)
+            return add_bit(self, k, sets)
+
+        monkeypatch.setattr(Cover, "_add_bit", counted)
+        edges = fr.hasse_edges()
+        monkeypatch.undo()
+        assert passes == [1] * calls
+        assert edges == upper_covers_by_table(saturation_table_full(c), fr.masks)
+
+
 class TestFrame:
     def test_free_frame_is_full_powerset(self, free2):
         fr = free2.saturated_sets()
