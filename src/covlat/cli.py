@@ -16,14 +16,14 @@ error.  JSON reports go to stdout; human-readable summaries go to stderr,
 and an error exit prints one ``error:`` line there, its line breaks escaped.
 A report that holds a table or a frame is written in chunks of rows by the
 ``fileio`` writers, after every check that can fail, so an error exit
-writes nothing to stdout.
+writes nothing to stdout; ``frame --dot`` writes its file with
+``fileio.write_dot`` before the report's first byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import re
 import sys
 
 from .errors import BaseMismatchError, CovlatError, InputError, MorphismValidationError
@@ -33,6 +33,7 @@ from .fileio import (
     load_instance,
     nested,
     table_chunks,
+    write_dot,
     write_fields,
     write_frame,
     write_operator,
@@ -59,30 +60,6 @@ def _say(msg: str) -> None:
 def _emit(report) -> None:
     """Print a report that is already JSON-native (witnesses converted by ``to_json``)."""
     print(dump_json(report))
-
-
-def dot_diagram(frame, edges) -> str:
-    """Graphviz digraph of a frame: one node per saturated set, and one
-    edge per Hasse pair of masks, from smaller to larger.
-
-    A node's id is the set's sorted member names joined by commas, each
-    name with its backslashes, quotes and commas escaped by a backslash,
-    so distinct sets get distinct ids; its label is the set as ``{a,b}``.
-    """
-    members = sorted((name, 1 << i) for i, name in enumerate(frame.cover.base.elements))
-
-    def names(mask, special):
-        return ",".join(re.sub(special, r"\\\g<0>", name) for name, bit in members if mask & bit)
-
-    ids = {mask: '"' + names(mask, r'[\\",]') + '"' for mask in frame.masks}
-    lines = ["digraph {", "  rankdir=BT;"]
-    for mask, node_id in ids.items():
-        label = '"{' + names(mask, r'[\\"]') + '}"'
-        lines.append(f"  {node_id} [label={label}];")
-    for lo, hi in edges:
-        lines.append(f"  {ids[lo]} -> {ids[hi]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def cmd_check(args) -> int:
@@ -112,7 +89,7 @@ def cmd_frame(args) -> int:
     if args.dot:
         try:
             with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(dot_diagram(frame, edges))
+                write_dot(fh, frame, edges)
         except OSError as exc:
             raise InputError(f"cannot write {args.dot}: {exc}") from exc
         _say(f"wrote {args.dot}")

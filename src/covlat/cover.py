@@ -54,15 +54,8 @@ class CoverAxioms:
         return hash((self.base, self.pairs))
 
     def named_pairs(self) -> list[tuple[str, list[str]]]:
-        out = []
-        for head, body in self.pairs:
-            out.append(
-                (
-                    self.base.elements[head],
-                    self.base.subset_from_mask(body).sorted_members(),
-                )
-            )
-        return out
+        names, subset = self.base.elements, self.base.subset_from_mask
+        return [(names[head], subset(body).sorted_members()) for head, body in self.pairs]
 
 
 class Cover:
@@ -268,12 +261,17 @@ class Cover:
 
     # -- meets via the down-set ----------------------------------------------
 
+    def singleton_saturations(self) -> list[int]:
+        """sat({x}), the down-set of {x}, for each element x by index;
+        computed once per cover, so callers share it and must not mutate it."""
+        if self._singletons is None:
+            self._singletons = [self.saturate_mask(1 << x) for x in range(len(self.base))]
+        return self._singletons
+
     def down_mask(self, u: int, v: int) -> int:
         """The down-set meet of U and V: the intersection of their down-sets,
         the down-set of U being the union of sat({x}) over x in U."""
-        if self._singletons is None:
-            self._singletons = [self.saturate_mask(1 << x) for x in range(len(self.base))]
-        sats = self._singletons
+        sats = self.singleton_saturations()
         return union_over(sats, u) & union_over(sats, v)
 
     # -- global predicates ---------------------------------------------------
@@ -300,7 +298,7 @@ class Cover:
             n = len(self.base)
             require_cap("minimal_covers", n, "single")
             full = (1 << n) - 1
-            below = [self.saturate_mask(1 << x) for x in range(n)]
+            below = self.singleton_saturations()
             minimal: list[list[int]] = [[] for _ in range(n)]
             rest = full  # the elements left to the scan
             for a in range(n):
@@ -558,11 +556,7 @@ class FiniteSuplattice:
         return self.base.elements[self._join[self.base.subset(members).mask]]
 
     def lower_set_mask(self, idx: int) -> int:
-        out = 0
-        for i in range(len(self.base)):
-            if self._up[i] >> idx & 1:
-                out |= 1 << i
-        return out
+        return sum(1 << i for i, up in enumerate(self._up) if up >> idx & 1)
 
 
 def cover_from_suplattice(lat: FiniteSuplattice) -> Cover:
@@ -574,14 +568,9 @@ def cover_from_suplattice(lat: FiniteSuplattice) -> Cover:
 # -- user-supplied relation tables -------------------------------------------
 
 
-def cover_from_table(base: BaseSet, table: dict[int, int]) -> Cover:
-    """Accept a full relation table only if it already satisfies the two
-    cover conditions (reflexivity and transitivity); reject otherwise.
-
-    A rejection names the first failing subset, or pair of subsets, in
-    the table's row order, as ``oracle.cover_from_table_full`` does, in
-    O(n * 2^n) steps where the twin takes 4^n.
-    """
+def check_table_rows(base: BaseSet, table: dict[int, int]) -> None:
+    """The checks of ``cover_from_table`` and its twin before transitivity:
+    every subset listed once, then each row's value in the base and reflexive."""
     n = len(base)
     if set(table) != set(range(1 << n)):
         raise InputError("relation table must list every subset of the base exactly once")
@@ -593,6 +582,18 @@ def cover_from_table(base: BaseSet, table: dict[int, int]) -> Cover:
                 f"table violates reflexivity at "
                 f"{base.subset_from_mask(mask).sorted_members()}"
             )
+
+
+def cover_from_table(base: BaseSet, table: dict[int, int]) -> Cover:
+    """Accept a full relation table only if it already satisfies the two
+    cover conditions (reflexivity and transitivity); reject otherwise.
+
+    A rejection names the first failing subset, or pair of subsets, in
+    the table's row order, as ``oracle.cover_from_table_full`` does, in
+    O(n * 2^n) steps where the twin takes 4^n.
+    """
+    n = len(base)
+    check_table_rows(base, table)
     # Transitivity: whenever v covers u (u inside v's cover set), v also
     # covers u's cover set. So u's cover set must lie in meet[u], the
     # intersection of every cover set that contains u.

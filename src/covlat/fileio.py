@@ -5,7 +5,7 @@ Formats (all UTF-8 JSON, deterministic field order):
 * instance: ``{"base": ["a", ...], "axioms": [["a", ["b", "c"]], ...]}``;
   alternatively a full relation table ``{"base": [...], "table":
   [[["c"], ["a", "b", "c"]], ...]}`` which is accepted only if it already
-  satisfies the two cover conditions.
+  satisfies the two cover conditions, and never beside ``axioms``.
 * morphism: ``{"source": "<instance path>", "target": "<instance path>",
   "pairs": [["a", "x"], ...]}``; paths resolve relative to the morphism
   file.
@@ -31,7 +31,8 @@ Reports that hold a whole table or frame are written, not built: the
 writers (``write_operator``, ``write_frame`` and ``write_fields`` under
 them) send ``dump_json(report) + "\n"`` to a text stream in chunks of at
 most ``CHUNK_ROWS`` list items, each made from fragments already at their
-final indent, so no copy of the whole report is ever held.
+final indent, so no copy of the whole report is ever held; ``write_dot``
+writes a frame's Graphviz diagram in batches of as many lines.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import gc
 import json
 import os
 from itertools import chain, islice
+from operator import methodcaller
 from json.encoder import encode_basestring
 from typing import Iterable, Iterator
 
@@ -135,6 +137,8 @@ def parse_instance(data, where="instance") -> Cover:
     except ValueError as exc:
         raise InputError(f"{where}: {exc}") from exc
     if "table" in data:
+        if "axioms" in data:
+            raise InputError(f"{where}: a cover is given by axioms or by a table, not both")
         order, images = _mask_table(data, base, where, "[subset, cover-set]")
         try:
             return cover_from_table(base, {key: images[key] for key in order})
@@ -273,12 +277,18 @@ def nested(data) -> tuple[str]:
     return (dump_json(data).replace("\n", "\n  "),)
 
 
+def _batches(items: Iterable[str]) -> Iterator[list[str]]:
+    """``items`` in the lists of at most ``CHUNK_ROWS`` every writer sends."""
+    items = iter(items)
+    while batch := list(islice(items, CHUNK_ROWS)):
+        yield batch
+
+
 def _list_chunks(items: Iterable[str]) -> Iterator[str]:
     """A JSON list as the chunks of a field value, from its items' text at
-    the indent of that list's items, at most ``CHUNK_ROWS`` items a chunk."""
-    items = iter(items)
+    the indent of that list's items, one chunk per batch of items."""
     opening = "[\n    "
-    while batch := list(islice(items, CHUNK_ROWS)):
+    for batch in _batches(items):
         yield opening + ",\n    ".join(batch)
         opening = ",\n    "
     yield "[]" if opening == "[\n    " else "\n  ]"
@@ -315,31 +325,29 @@ def write_operator(out, table, cover_ref: str) -> None:
     )
 
 
+def _set_names(frame, escape) -> Iterator[list[str]]:
+    """Each saturated set of ``frame``, in mask order, as the sorted list
+    of its members' names, each name escaped once per call by ``escape``."""
+    elements = frame.cover.base.elements
+    items = [(1 << i, escape(name)) for name, i in sorted((name, i) for i, name in enumerate(elements))]
+    for mask in frame.masks:
+        yield [text for bit, text in items if mask & bit]
+
+
 def write_frame(out, path: str, frame, edges) -> None:
     """Writes ``dump_json`` of the ``frame`` report of ``path``, and a
     newline, to ``out``: the frame's saturated sets, the Hasse ``edges``
-    (mask pairs) between them and the convergence verdict, from one pair of
-    fragments per saturated set.
+    (mask pairs) between them and the convergence verdict.
 
-    The fragments are a set's sorted member list, each name encoded once,
-    at the indent of a ``saturated`` entry and at that of a ``hasse`` side.
-    They are built for the frame's own sets only, and before the first
-    write, so an edge is one concatenation.
+    Each saturated set's member list is built once, before the first
+    write, at the indent of a ``saturated`` entry and one level deeper as a
+    ``hasse`` side, so an edge is one concatenation.
     """
-    elements = frame.cover.base.elements
-    items = [
-        (1 << i, encode_basestring(name))
-        for name, i in sorted((name, i) for i, name in enumerate(elements))
+    entries = [
+        "[\n      " + ",\n      ".join(names) + "\n    ]" if names else "[]"
+        for names in _set_names(frame, encode_basestring)
     ]
-    entries, sides = [], {}
-    for mask in frame.masks:
-        names = [text for bit, text in items if mask & bit]
-        if names:
-            entries.append("[\n      " + ",\n      ".join(names) + "\n    ]")
-            sides[mask] = "[\n        " + ",\n        ".join(names) + "\n      ]"
-        else:
-            entries.append("[]")
-            sides[mask] = "[]"
+    sides = {mask: entry.replace("\n", "\n  ") for mask, entry in zip(frame.masks, entries)}
     hasse = ("[\n      " + sides[lo] + ",\n      " + sides[hi] + "\n    ]" for lo, hi in edges)
     convergent = frame.convergent.to_json() if frame.convergent is not None else None
     write_fields(
@@ -351,6 +359,30 @@ def write_frame(out, path: str, frame, edges) -> None:
             ("convergent", nested(convergent)),
         ],
     )
+
+
+def write_dot(out, frame, edges) -> None:
+    """Writes the Graphviz digraph of a frame to ``out``, a line per
+    saturated set and per Hasse pair of masks in ``edges`` (smaller to
+    larger), ``CHUNK_ROWS`` lines per write.
+
+    A node's id is the set's sorted member names joined by commas, each
+    name with its backslashes, quotes and commas escaped by a backslash,
+    so distinct sets get distinct ids; its label is the set as ``{a,b}``.
+    """
+    quoted = {c: "\\" + c for c in '\\"'}
+    names = _set_names(frame, methodcaller("translate", str.maketrans({**quoted, ",": "\\,"})))
+    ids = dict(zip(frame.masks, ('"' + ",".join(members) + '"' for members in names)))
+    names = _set_names(frame, methodcaller("translate", str.maketrans(quoted)))
+    labels = ('"{' + ",".join(members) + '}"' for members in names)
+    lines = chain(
+        ["digraph {", "  rankdir=BT;"],
+        (f"  {node} [label={label}];" for node, label in zip(ids.values(), labels)),
+        (f"  {ids[lo]} -> {ids[hi]};" for lo, hi in edges),
+        ["}"],
+    )
+    for batch in _batches(lines):
+        out.write("\n".join(batch) + "\n")
 
 
 def dump_json(data) -> str:

@@ -142,8 +142,8 @@ def _convergence_verdict(r: Relation, c1: Cover, c2: Cover) -> Verdict:
     pre_all = r.preimage_minus_mask((1 << n2) - 1)
     if full1 & ~c1.saturate_mask(pre_all):
         return Verdict.fail({"condition": "source covered by preimage of target"}, checked)
-    sat1 = [c1.saturate_mask(1 << x) for x in range(n1)]
-    sat2 = [c2.saturate_mask(1 << x) for x in range(n2)]
+    sat1 = c1.singleton_saturations()
+    sat2 = c2.singleton_saturations()
     down = [union_over(sat1, pre) for pre in r._preimage]
     covered: dict[int, int] = {}  # sat1(pre(w)) per target meet w met so far
     for u in range(n2):

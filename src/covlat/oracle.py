@@ -30,6 +30,7 @@ from .cover import (
     CoverAxioms,
     FiniteSuplattice,
     FrameOfSaturated,
+    check_table_rows,
     cover_from_suplattice,
 )
 from .errors import (
@@ -404,18 +405,10 @@ def reflect_full(t: OperatorTable) -> OperatorTable:
 
 def cover_from_table_full(base: BaseSet, table: dict[int, int]) -> Cover:
     """Table acceptance with transitivity tested on every pair of rows, in
-    row order; the reference for ``cover.cover_from_table``."""
+    row order; the reference for ``cover.cover_from_table``, after the
+    row checks the two share."""
     n = len(base)
-    if set(table) != set(range(1 << n)):
-        raise InputError("relation table must list every subset of the base exactly once")
-    for mask, sat in table.items():
-        if sat >> n:
-            raise InputError(f"table value {sat:#x} is not a subset of the base")
-        if mask & ~sat:
-            raise InputError(
-                f"table violates reflexivity at "
-                f"{base.subset_from_mask(mask).sorted_members()}"
-            )
+    check_table_rows(base, table)
     for u, sat_u in table.items():
         for v, sat_v in table.items():
             if u & ~sat_v == 0 and sat_u & ~sat_v:
@@ -556,11 +549,7 @@ def positive_elements_definitional(cover: Cover) -> Subset:
     require_cap("positive_elements_definitional", n, "single")
     out = 0
     for a in range(n):
-        if all(
-            u != 0
-            for u in range(1 << n)
-            if cover.saturate_mask(u) >> a & 1
-        ):
+        if all(u != 0 for u in range(1 << n) if cover.saturate_mask(u) >> a & 1):
             out |= 1 << a
     return cover.base.subset_from_mask(out)
 
@@ -571,10 +560,7 @@ def overt_via_positive_part(cover: Cover) -> bool:
     n = len(cover.base)
     require_cap("overt_via_positive_part", n, "single")
     pos = cover.pos().mask
-    return all(
-        cover.saturate_mask(u) == cover.saturate_mask(u & pos)
-        for u in range(1 << n)
-    )
+    return all(cover.saturate_mask(u) == cover.saturate_mask(u & pos) for u in range(1 << n))
 
 
 # -- certificates ------------------------------------------------------------

@@ -17,6 +17,7 @@ from covlat import (
     BaseSet,
     ClosureTable,
     Cover,
+    InputError,
     InteriorTable,
     Relation,
     ValidatedMorphism,
@@ -30,7 +31,9 @@ from covlat.fileio import (
     dump_json,
     load_instance,
     operator_to_json,
+    parse_instance,
     table_chunks,
+    write_dot,
     write_fields,
     write_frame,
     write_operator,
@@ -232,6 +235,11 @@ def test_chunked_frame_writes():
     assert "".join(out.writes) == dump_json(frame_report("free12.json", frame, edges)) + "\n"
     assert max(map(items_begun, out.writes)) == fileio.CHUNK_ROWS
     assert sum(map(items_begun, out.writes)) == len(frame) + len(edges)
+    out = RecordingStream()
+    write_dot(out, frame, edges)
+    lines = [text.count("\n") for text in out.writes]
+    assert max(lines) == fileio.CHUNK_ROWS
+    assert sum(lines) == 3 + len(frame) + len(edges)  # the two opening lines and "}"
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3])
@@ -254,3 +262,29 @@ def test_small_chunks_keep_the_bytes(monkeypatch, chunk, size):
     write_frame(out, "f.json", frame, edges)
     assert "".join(out.writes) == dump_json(frame_report("f.json", frame, edges)) + "\n"
     assert max(map(items_begun, out.writes)) <= chunk
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_small_chunks_keep_the_dot_bytes(monkeypatch, chunk):
+    """The DOT lines go out in batches of at most ``CHUNK_ROWS`` lines
+    that join to the text written in one batch."""
+    cover = Cover.from_axiom_names(BaseSet(["b", "a", "c"]), [("a", ["b"])])
+    frame = cover.saturated_sets()
+    edges = frame.hasse_edges()
+    whole = io.StringIO()
+    write_dot(whole, frame, edges)
+    monkeypatch.setattr(fileio, "CHUNK_ROWS", chunk)
+    out = RecordingStream()
+    write_dot(out, frame, edges)
+    assert "".join(out.writes) == whole.getvalue()
+    assert max(text.count("\n") for text in out.writes) <= chunk
+
+
+@pytest.mark.parametrize("axioms", [[], [["a", ["b"]]]], ids=["empty", "one"])
+def test_instance_with_axioms_and_table_is_an_input_error(axioms):
+    # the table alone would give a cover; its axioms must not be dropped
+    table = [[[], []], [["a"], ["a"]], [["b"], ["b"]], [["a", "b"], ["a", "b"]]]
+    assert len(parse_instance({"base": ["a", "b"], "table": table}).base) == 2
+    with pytest.raises(InputError) as info:
+        parse_instance({"base": ["a", "b"], "axioms": axioms, "table": table}, "in.json")
+    assert str(info.value) == "in.json: a cover is given by axioms or by a table, not both"
