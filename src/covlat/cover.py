@@ -20,11 +20,12 @@ here.
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable
 
 from .caps import cap_for, require_cap
 from .errors import BaseMismatchError, InputError
-from .sets import BaseSet, Subset, fixed_points, meets_above, transitive_closure, union_over, unions
+from .sets import BaseSet, Subset, fixed_points, meets_above, or_words, transitive_closure, union_over, unions
 from .verdict import Verdict
 
 
@@ -175,10 +176,13 @@ class Cover:
         return result
 
     def _add_bit(self, k: int, sets: list[int]) -> list[int]:
-        """sat(s + {k}) for each saturated s in ``sets``: read from the table
-        when the cover holds one, one pass ``s | up[k]`` when k is inert
-        (its closure meets no wide premise, so it fires nothing), else a
-        chain from s."""
+        """sat(s + {k}) for each saturated s in ``sets``, as a list of ints:
+        read from the table when the cover holds one, one pass ``s | up[k]``
+        when k is inert (its closure meets no wide premise, so it fires
+        nothing), else a chain from s.  The inert list pass serves the
+        table, the ``hasse_edges`` columns and a frame step whose new sets
+        may repeat; the frame's inert doubling step ORs up[k] into every
+        set so far on 16-bit words instead, by ``sets.or_words``."""
         bit = 1 << k
         table = self._table
         if table is not None:
@@ -202,6 +206,11 @@ class Cover:
         saturated sets, none of them through ``saturate_mask`` or its
         cache.  A cover whose premises all have at most one element (free,
         chain, all-equivalent) runs no chain but the one for sat(∅).  The
+        inert bits keep the list pass, not the frame's ``sets.or_words``
+        on 16-bit words: every table the perfbench workloads build has
+        n <= 8, where a step of at most 128 masks is too short for the
+        wide OR to win (``is_convergent`` on the free 7-element cover read
+        slower with it).  The
         reference is ``oracle.saturation_table_full``.
         """
         if self._table is None:
@@ -225,26 +234,29 @@ class Cover:
         From F = {sat(∅)}, element k adds sat(s + k) for each s in F not
         holding k; as sat(v + k) = sat(sat(v) + k), F ends as the image of
         sat, with at most n * |F| chains.  An inert k whose closure meets
-        no set found so far gives distinct new sets s | up[k]; any other
-        step drops repeats through a set of its new sets only, and sorts
-        them.  The sets found so far all lie in ``top``, so a step whose
-        new sets all exceed ``top`` puts them above every earlier set: an
-        inert step does when up[k] > top, since s -> s | up[k] is
-        increasing on the sets disjoint from up[k].  When every step that
-        added sets did so, F is already in mask order and is not sorted.
+        no set found so far gives distinct new sets s | up[k], one
+        ``sets.or_words`` over F, held as 16-bit words (every mask of a
+        base under the hard cap fits one) and made a list of ints once, at
+        the end; any other step drops repeats through a set of its new
+        sets only, and sorts them.  The sets found so far all lie in
+        ``top``, so a step whose new sets all exceed ``top`` puts them
+        above every earlier set: an inert step does when up[k] > top, since
+        s -> s | up[k] is increasing on the sets disjoint from up[k].  When
+        every step that added sets did so, F is already in mask order and
+        is not sorted.
         """
         if self._table is not None:
             return fixed_points(self._table)
         n = len(self.base)
         require_cap("frame_masks", n, "single")
-        frame = [self.saturate_mask(0)]
-        top = frame[0]  # sat of the elements so far, holding every set found
+        top = self.saturate_mask(0)  # sat of the elements so far, holding every set found
+        frame = array("H", [top])
         ordered = True
         for k in range(n):
             bit = 1 << k
             up = self._up[k]
             if bit & self._inert and not up & top:
-                new = self._add_bit(k, frame)
+                frame += or_words(frame, up)
                 ordered = ordered and up > top
                 top |= up
             else:
@@ -254,10 +266,11 @@ class Cover:
                     new = sorted(new)
                     ordered = ordered and new[0] > top
                     top |= new[-1]
-            frame += new
+                    frame.fromlist(new)
+        masks = frame.tolist()
         if not ordered:
-            frame.sort()
-        return frame
+            masks.sort()
+        return masks
 
     # -- meets via the down-set ----------------------------------------------
 

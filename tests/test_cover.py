@@ -657,6 +657,60 @@ class TestPremiseFreeElements:
         assert edges == upper_covers_by_table(saturation_table_full(c), fr.masks)
 
 
+def hard_cap_cover(bodies):
+    """The 16-element cover on e0 ... e15 with one axiom e0 ◁ B for each
+    B in ``bodies`` (lists of element indices), and its saturation table
+    by construction: e0 is in no body, so sat(m) is m plus e0 when m
+    holds some B."""
+    base = BaseSet([f"e{i}" for i in range(16)])
+    names = base.elements
+    c = Cover.from_axiom_names(base, [(names[0], [names[x] for x in body]) for body in bodies])
+    masks = [sum(1 << x for x in body) for body in bodies]
+    table = [m | any(m & b == b for b in masks) for m in range(1 << 16)]
+    return c, table
+
+
+class TestHardCapDoubling:
+    """`frame_masks` and `saturation_table` at the hard cap of 16 elements,
+    where the frame's inert doubling steps run on 16-bit words: each
+    result is still a list of ints, and the expected frames and tables
+    come from how each cover is made."""
+
+    @pytest.mark.parametrize("bodies", [[], [[1]], [[1, 2]]], ids=["free", "e0-e1", "e0-e1e2"])
+    def test_frame_and_edges(self, bodies):
+        c, table = hard_cap_cover(bodies)
+        closed = [m for m, s in enumerate(table) if s == m]
+        # the sets holding the head of every axiom whose body they hold
+        fr = c.saturated_sets()
+        assert c._table is None  # no 2^16 table: the frame came from doubling
+        assert type(fr.masks) is list
+        assert all(type(m) is int for m in fr.masks)
+        assert fr.masks == closed
+        edges = fr.hasse_edges()
+        assert edges == upper_covers_by_table(table, closed)
+        own = {id(m) for m in fr.masks}
+        assert all(id(u) in own and id(v) in own for u, v in edges)
+
+    @pytest.mark.parametrize("bodies", [[], [[1]], [[1, 2]]], ids=["free", "e0-e1", "e0-e1e2"])
+    def test_saturation_table(self, bodies):
+        c, table = hard_cap_cover(bodies)
+        got = c.saturation_table()
+        assert type(got) is list
+        assert all(type(s) is int for s in got)
+        assert got == table
+        assert c.frame_masks() == [m for m, s in enumerate(table) if s == m]
+
+    @given(mixed_premise_covers(max_size=12, min_size=9))
+    @settings(max_examples=25, deadline=None)
+    def test_table_and_minimal_covers_above_six(self, c):
+        # fresh covers both ways round: the scan builds the table, or reads it
+        twin = Cover(c.base, c.axioms)
+        assert c.minimal_covers() == minimal_covers_full(c)
+        assert twin.saturation_table() == saturation_table_full(c)
+        assert twin.minimal_covers() == c.minimal_covers()
+        assert all(type(s) is int for s in twin.saturation_table())
+
+
 class TestFrame:
     def test_free_frame_is_full_powerset(self, free2):
         fr = free2.saturated_sets()

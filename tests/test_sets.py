@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from covlat.oracle import (
     random_interior_table,
     reflect_full,
 )
-from covlat.sets import first_escape, fixed_points, meets_above, transitive_closure, union_over, unions
+from covlat.sets import first_escape, fixed_points, meets_above, or_words, transitive_closure, union_over, unions
 
 # Names whose sorted order differs from any natural base order: mixed case,
 # digits, prefixes of one another, and non-ASCII letters that sort after "z".
@@ -277,6 +278,45 @@ class TestUnions:
     def test_empty_list(self):
         assert unions([]) == [0]
         assert union_over([], 0) == 0
+
+
+class TestOrWords:
+    """`or_words`, one OR of two ints as wide as a buffer of 16-bit
+    words, against one `|` per word."""
+
+    @given(st.lists(st.integers(0, 0xFFFF), max_size=40), st.integers(0, 0xFFFF))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_one_or_per_word(self, words, mask):
+        buf = array("H", words)
+        out = or_words(buf, mask)
+        assert isinstance(out, array) and out.typecode == "H"
+        assert out.tolist() == [w | mask for w in words]
+        assert buf.tolist() == words  # the input is left as it was
+
+    def test_bit_15_in_both(self):
+        # the top bit of a word carries into no neighbour, whichever the byte order
+        buf = array("H", [0x8000, 0x8001, 0x0000, 0xFFFF, 0x7FFF])
+        assert or_words(buf, 0x8000).tolist() == [0x8000, 0x8001, 0x8000, 0xFFFF, 0xFFFF]
+        assert or_words(buf, 0x8001).tolist() == [0x8001, 0x8001, 0x8001, 0xFFFF, 0xFFFF]
+
+    def test_empty_and_one_word_buffers(self):
+        assert or_words(array("H"), 0xFFFF).tolist() == []
+        assert or_words(array("H"), 0).tolist() == []
+        assert or_words(array("H", [0x1234]), 0x8421).tolist() == [0x1234 | 0x8421]
+        assert or_words(array("H", [0xFFFF]), 0).tolist() == [0xFFFF]
+
+    @pytest.mark.parametrize("mask", [1 << 16, (1 << 16) + 1, 1 << 17 | 1, -1])
+    @pytest.mark.parametrize("words", [[], [0], [1, 2, 3]])
+    def test_mask_outside_16_bits_raises(self, words, mask):
+        # 2^16 + 1 must not wrap to 1, nor -1 to 0xFFFF
+        with pytest.raises(OverflowError):
+            or_words(array("H", words), mask)
+
+    def test_doubling_gives_every_mask(self):
+        words = array("H", [0])
+        for k in range(16):
+            words += or_words(words, 1 << k)
+        assert words.tolist() == list(range(1 << 16))
 
 
 def closure_by_fixpoint(rows):
